@@ -15,12 +15,14 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .dataio import (DataFormatError, load_checkpoint, read_dataset,
-                     save_checkpoint, write_dataset, write_report)
-from .experiments import losocv_benchmark, windows_by_subject
-from .metrics import count_loa, labels_to_segments, sample_f1
+from .dataio import (REPORT_FORMAT, DataFormatError, load_checkpoint,
+                     read_dataset, save_checkpoint, write_dataset,
+                     write_report)
+from .experiments import (aggregate, evaluate_model, losocv_benchmark, score,
+                          windows_by_subject)
+from .metrics import labels_to_segments
 from .model import Model, ModelConfig
-from .synth import CLASS_NAMES, DEFAULT_PLAN, N_CLASSES, make_cohort, windowize
+from .synth import CLASS_NAMES, DEFAULT_PLAN, N_CLASSES, make_cohort
 from .train import TrainConfig, TrainingDivergedError, predict, train_fold
 from .velocity import StillWindowError, chair_rising_velocity
 
@@ -53,7 +55,7 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 def _report_skeleton(command: str, seed: int, started: float) -> dict:
     return {
-        "format_version": 1,
+        "format_version": REPORT_FORMAT,
         "kind": "run_report",
         "command": command,
         "seed": int(seed),
@@ -147,7 +149,7 @@ def cmd_train(args) -> int:
                   f"checkpoint {path.name}")
         report["folds"] = folds
         report["aggregate"] = bench.aggregate_section()
-        report["loa"] = bench.loa.to_dict()
+        report["loa"] = bench.loa
         print(f"mean macro sample-f1 {bench.mean_macro_sample_f1:.4f}")
     else:
         samples = np.concatenate([v[0] for v in subject_windows.values()])
@@ -172,50 +174,6 @@ def _fmt(x) -> str:
     return "n/a" if x is None else f"{x:.4f}"
 
 
-def _evaluate_checkpoint(ckpt_path: Path, dataset) -> dict:
-    model = load_checkpoint(ckpt_path)
-    if model.config.n_channels != dataset.recordings[0].signal.shape[1]:
-        raise DataFormatError(
-            f"{ckpt_path.name}: checkpoint expects "
-            f"{model.config.n_channels} channels")
-    window_len = model.config.window_len
-    truth_all, pred_all, per_subject = [], [], []
-    for rec in dataset.recordings:
-        pairs = windowize(rec, window_len)
-        samples = np.stack([w.samples for w, _ in pairs])
-        labels = np.stack([lab for _, lab in pairs])
-        preds = predict(model, samples).reshape(-1)
-        truth = labels.reshape(-1)
-        truth_all.append(truth)
-        pred_all.append(preds)
-        per_subject.append((labels_to_segments(truth),
-                            labels_to_segments(preds)))
-    truth_flat = np.concatenate(truth_all)
-    pred_flat = np.concatenate(pred_all)
-    scores = _metric_stack(truth_flat, pred_flat, per_subject,
-                           model.config.n_classes)
-    return {"checkpoint": ckpt_path.name, **scores}
-
-
-def _metric_stack(truth_flat, pred_flat, per_subject, n_classes,
-                  threshold=0.75) -> dict:
-    from .metrics import confusion_matrix, segmental_iou_f1
-    sample = sample_f1(truth_flat, pred_flat, n_classes)
-    segmental = segmental_iou_f1(labels_to_segments(truth_flat),
-                                 labels_to_segments(pred_flat),
-                                 threshold=threshold, n_classes=n_classes)
-    out = {
-        "sample_accuracy": float(np.mean(truth_flat == pred_flat)),
-        "sample_f1": sample.to_dict(),
-        "segmental": segmental.to_dict(),
-        "confusion": confusion_matrix(truth_flat, pred_flat,
-                                      n_classes).tolist(),
-    }
-    if len(per_subject) >= 2:
-        out["loa"] = count_loa(per_subject, n_classes).to_dict()
-    return out
-
-
 def cmd_evaluate(args) -> int:
     started = time.perf_counter()
     dataset = read_dataset(args.data)
@@ -225,24 +183,25 @@ def cmd_evaluate(args) -> int:
 
     rows = []
     if args.oracle:
-        per_subject = [(rec.segments, rec.segments)
-                       for rec in dataset.recordings]
-        truth = np.concatenate([rec.labels for rec in dataset.recordings])
-        scores = _metric_stack(truth, truth, per_subject, N_CLASSES,
-                               args.iou_threshold)
-        rows.append({"checkpoint": "oracle(truth)", **scores})
+        truth = [(rec.labels, rec.labels) for rec in dataset.recordings]
+        rows.append({"checkpoint": "oracle(truth)",
+                     **score(truth, N_CLASSES, args.iou_threshold)})
     elif not args.checkpoints:
         raise DataFormatError("pass --checkpoints or --oracle")
-    for path in args.checkpoints or []:
-        rows.append(_evaluate_checkpoint(Path(path), dataset))
+    for path in map(Path, args.checkpoints or []):
+        model = load_checkpoint(path)
+        cfg = model.config
+        if (cfg.n_channels, cfg.n_classes) \
+                != (dataset.recordings[0].signal.shape[1], N_CLASSES):
+            raise DataFormatError(
+                f"{path.name}: checkpoint expects {cfg.n_channels} channels "
+                f"and {cfg.n_classes} classes")
+        windows = windows_by_subject(dataset, cfg.window_len)
+        scores, _ = evaluate_model(model, windows, args.iou_threshold)
+        rows.append({"checkpoint": path.name, **scores})
 
     report["checkpoints"] = rows
-    macros = [r["sample_f1"]["macro_f1"] for r in rows
-              if r["sample_f1"]["macro_f1"] is not None]
-    report["aggregate"] = {
-        "mean_macro_sample_f1": float(np.mean(macros)) if macros else None,
-        "mean_macro_segmental_f1": None,
-    }
+    report["aggregate"] = aggregate(rows)
     print(f"{'checkpoint':>24}  {'accuracy':>8}  {'sample-f1':>9}  "
           f"{'segmental-f1':>12}")
     for r in rows:
@@ -270,10 +229,9 @@ def cmd_velocity(args) -> int:
         if not args.checkpoint:
             raise DataFormatError("pass --checkpoint or --use-true-labels")
         model = load_checkpoint(args.checkpoint)
-        pairs = windowize(rec, model.config.window_len)
-        samples = np.stack([w.samples for w, _ in pairs])
-        flat = predict(model, samples).reshape(-1)
-        segments = labels_to_segments(flat)
+        samples, _ = windows_by_subject(
+            dataset, model.config.window_len)[args.subject]
+        segments = labels_to_segments(predict(model, samples).reshape(-1))
 
     vertical = rec.signal[:, 0]
     try:

@@ -135,6 +135,10 @@ def _read_subject_csv(path: Path, rows: int) -> tuple[np.ndarray, np.ndarray]:
             n += 1
     if n != rows:
         raise DataFormatError(f"{path.name}: {n} rows, manifest says {rows}")
+    bad = ~np.isfinite(signal).all(axis=1)
+    if bad.any():
+        raise DataFormatError(f"{path.name}: non-finite sample in row "
+                              f"{int(np.argmax(bad))}")
     if labels.size and (labels.min() < 0 or labels.max() >= N_CLASSES):
         raise DataFormatError(f"{path.name}: label outside [0, {N_CLASSES})")
     return signal, labels
@@ -194,6 +198,10 @@ def _digest(payload: dict) -> str:
 
 
 def save_checkpoint(path, model: Model) -> Path:
+    bad = [name for name, p in model.parameters().items()
+           if not np.isfinite(p.data).all()]
+    if bad:
+        raise ValueError(f"refusing to save non-finite parameters {bad}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = _checkpoint_payload(model)
@@ -238,12 +246,14 @@ _REQUIRED_REPORT_KEYS = ("format_version", "kind", "command", "seed",
 
 
 def write_report(path, report: dict) -> Path:
+    """Validate and write a report; a NaN or infinity raises ValueError
+    before the file is opened."""
     check_report_structure(report)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 

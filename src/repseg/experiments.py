@@ -1,6 +1,6 @@
-"""Desk-scale experiments: leave-one-subject-out benchmark and the
-mask-ratio sweep. These drive the CLI train/evaluate paths and emit the
-plot-ready sweep table."""
+"""Desk-scale experiments: the one scoring path, the leave-one-subject-out
+benchmark and the mask-ratio sweep. These drive the CLI train/evaluate/
+velocity paths and emit the plot-ready sweep table."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import Dataset
-from .metrics import (LoaReport, Segment, confusion_matrix, count_loa,
+from .metrics import (ClassF1Report, ClassScore, confusion_matrix, count_loa,
                       labels_to_segments, sample_f1, segmental_iou_f1)
 from .model import Model, ModelConfig
 from .synth import windowize
@@ -32,46 +32,84 @@ def windows_by_subject(dataset: Dataset, window_len: int,
     return out
 
 
+def score(per_subject: list[tuple[np.ndarray, np.ndarray]], n_classes: int,
+          iou_threshold: float = 0.75) -> dict:
+    """The metric stack over per-subject (truth, predicted) label arrays.
+
+    Sample accuracy, sample F1 and the row-normalized confusion matrix count
+    every sample once. Segments are built per subject, so none runs across
+    a subject boundary, and segmental tp/fp/fn are summed over subjects.
+    With two or more subjects the section also holds repetition-count
+    agreement.
+    """
+    truth = np.concatenate([t for t, _ in per_subject])
+    pred = np.concatenate([p for _, p in per_subject])
+    segments = [(labels_to_segments(t), labels_to_segments(p))
+                for t, p in per_subject]
+    totals: dict[int, tuple[int, int, int]] = {}
+    for truth_segs, pred_segs in segments:
+        report = segmental_iou_f1(truth_segs, pred_segs,
+                                  threshold=iou_threshold,
+                                  n_classes=n_classes)
+        for c, s in report.per_class.items():
+            counts = (0, 0, 0) if s is None else (s.tp, s.fp, s.fn)
+            totals[c] = tuple(map(sum, zip(totals.get(c, (0, 0, 0)),
+                                           counts)))
+    segmental = ClassF1Report({
+        c: ClassScore.from_counts(*cnt) if any(cnt) else None
+        for c, cnt in sorted(totals.items())})
+    out = {
+        "sample_accuracy": float(np.mean(truth == pred)),
+        "sample_f1": sample_f1(truth, pred, n_classes).to_dict(),
+        "segmental": segmental.to_dict(),
+        "confusion": confusion_matrix(truth, pred, n_classes).tolist(),
+    }
+    if len(segments) >= 2:
+        out["loa"] = count_loa(segments, n_classes).to_dict()
+    return out
+
+
+def aggregate(sections: list[dict]) -> dict:
+    """Means of the sections' macro sample and segmental F1, skipping
+    undefined ones; None where every one is undefined."""
+    out = {}
+    for name, key in (("mean_macro_sample_f1", "sample_f1"),
+                      ("mean_macro_segmental_f1", "segmental")):
+        macros = [s[key]["macro_f1"] for s in sections
+                  if s[key]["macro_f1"] is not None]
+        out[name] = float(np.mean(macros)) if macros else None
+    return out
+
+
+def evaluate_model(model: Model, subject_windows: dict,
+                   iou_threshold: float = 0.75) -> tuple[dict, list]:
+    """Predict each subject's windows, then `score` them per subject.
+
+    Returns the scoring section and the per-subject (truth, predicted) flat
+    label arrays it scored, in `subject_windows` order.
+    """
+    labels = [(np.asarray(truth, dtype=np.int64).reshape(-1),
+               predict(model, samples).reshape(-1))
+              for samples, truth in subject_windows.values()]
+    return score(labels, model.config.n_classes, iou_threshold), labels
+
+
 @dataclass
 class FoldOutcome:
     fold: Fold
-    accuracy: float
-    sample_report: dict       # per-class/macro f1 over samples
-    segmental_report: dict    # per-class/macro f1 over matched segments
-    confusion: list           # row-normalized, truth on rows
-    true_segments: list[Segment]
-    pred_segments: list[Segment]
+    scores: dict   # the held-out subject's section from `score`
+    labels: tuple  # the held-out subject's flat (truth, predicted) labels
     curves: dict
     wall_clock_s: float
     params: dict | None = None  # trained arrays, only when requested
 
     @property
+    def sample_report(self) -> dict:
+        return self.scores["sample_f1"]
+
+    @property
     def macro_sample_f1(self):
         return self.sample_report["macro_f1"]
-
-
-def evaluate_model(model: Model, samples: np.ndarray, labels: np.ndarray,
-                   iou_threshold: float = 0.75) -> dict:
-    """Metric stack over a stack of windows, concatenated into one stream."""
-    preds = predict(model, samples)
-    truth_flat = np.asarray(labels, dtype=np.int64).reshape(-1)
-    pred_flat = preds.reshape(-1)
-    n_classes = model.config.n_classes
-    sample_report = sample_f1(truth_flat, pred_flat, n_classes)
-    true_segments = labels_to_segments(truth_flat)
-    pred_segments = labels_to_segments(pred_flat)
-    segmental = segmental_iou_f1(true_segments, pred_segments,
-                                 threshold=iou_threshold,
-                                 n_classes=n_classes)
-    return {
-        "accuracy": float(np.mean(truth_flat == pred_flat)),
-        "sample_report": sample_report.to_dict(),
-        "segmental_report": segmental.to_dict(),
-        "confusion": confusion_matrix(truth_flat, pred_flat,
-                                      n_classes).tolist(),
-        "true_segments": true_segments,
-        "pred_segments": pred_segments,
-    }
 
 
 def run_fold(subject_windows: dict, fold: Fold, model_config: ModelConfig,
@@ -92,17 +130,13 @@ def run_fold(subject_windows: dict, fold: Fold, model_config: ModelConfig,
         [subject_windows[s][1] for s in fold.train_subjects])
 
     result = train_fold(samples, labels, model_config, train_config)
-    test_samples, test_labels = subject_windows[fold.test_subject]
-    scores = evaluate_model(result.model, test_samples, test_labels,
-                            iou_threshold)
+    test = fold.test_subject
+    scores, [held_out] = evaluate_model(
+        result.model, {test: subject_windows[test]}, iou_threshold)
     return FoldOutcome(
         fold=fold,
-        accuracy=scores["accuracy"],
-        sample_report=scores["sample_report"],
-        segmental_report=scores["segmental_report"],
-        confusion=scores["confusion"],
-        true_segments=scores["true_segments"],
-        pred_segments=scores["pred_segments"],
+        scores=scores,
+        labels=held_out,
         curves=result.curves(),
         wall_clock_s=result.wall_clock_s,
         params={k: p.data for k, p in result.model.parameters().items()}
@@ -119,36 +153,23 @@ def _fold_worker(payload):
 @dataclass
 class BenchmarkResult:
     outcomes: list[FoldOutcome]
-    loa: LoaReport
+    # count agreement over the held-out subjects; None with a single fold
+    loa: dict | None
 
     @property
-    def mean_macro_sample_f1(self) -> float:
-        scores = [o.macro_sample_f1 for o in self.outcomes
-                  if o.macro_sample_f1 is not None]
-        return float(np.mean(scores))
-
-    @property
-    def mean_macro_segmental_f1(self) -> float:
-        scores = [o.segmental_report["macro_f1"] for o in self.outcomes
-                  if o.segmental_report["macro_f1"] is not None]
-        return float(np.mean(scores))
+    def mean_macro_sample_f1(self) -> float | None:
+        return self.aggregate_section()["mean_macro_sample_f1"]
 
     def fold_sections(self) -> list[dict]:
         return [{
             "test_subject": o.fold.test_subject,
             "train_subjects": list(o.fold.train_subjects),
-            "sample_accuracy": o.accuracy,
-            "sample_f1": o.sample_report,
-            "segmental": o.segmental_report,
-            "confusion": o.confusion,
+            **o.scores,
             "loss_curves": o.curves,
         } for o in self.outcomes]
 
     def aggregate_section(self) -> dict:
-        return {
-            "mean_macro_sample_f1": self.mean_macro_sample_f1,
-            "mean_macro_segmental_f1": self.mean_macro_segmental_f1,
-        }
+        return aggregate([o.scores for o in self.outcomes])
 
 
 def losocv_benchmark(subject_windows: dict, model_config: ModelConfig,
@@ -165,9 +186,9 @@ def losocv_benchmark(subject_windows: dict, model_config: ModelConfig,
             outcomes = list(pool.map(_fold_worker, payloads))
     else:
         outcomes = [_fold_worker(p) for p in payloads]
-    loa = count_loa([(o.true_segments, o.pred_segments) for o in outcomes],
-                    n_classes=model_config.n_classes)
-    return BenchmarkResult(outcomes=outcomes, loa=loa)
+    pooled = score([o.labels for o in outcomes], model_config.n_classes,
+                   iou_threshold)
+    return BenchmarkResult(outcomes=outcomes, loa=pooled.get("loa"))
 
 
 def default_sweep_seeds(mask_ratio: float,

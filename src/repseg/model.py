@@ -10,7 +10,7 @@ from either loss update the same encoder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -80,17 +80,13 @@ class ModelConfig:
         return (self.receptive_field - 1) // 2
 
     def to_dict(self) -> dict:
-        return {
-            "d_model": self.d_model, "n_heads": self.n_heads,
-            "n_layers": self.n_layers, "dropout": self.dropout,
-            "window_len": self.window_len, "n_channels": self.n_channels,
-            "n_classes": self.n_classes, "ffn_dim": self.ffn_dim,
-            "tcn_layers": self.tcn_layers, "tcn_channels": self.tcn_channels,
-            "kernel_size": self.kernel_size,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        extra = set(d) - {f.name for f in fields(cls)}
+        if extra:
+            raise ValueError(f"unknown model-config fields: {sorted(extra)}")
         return cls(**d)
 
 

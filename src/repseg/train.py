@@ -173,11 +173,6 @@ class TrainResult:
         }
 
 
-def class_frequencies(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    counts = np.bincount(labels.reshape(-1), minlength=n_classes)
-    return counts / max(labels.size, 1)
-
-
 def _inverse_frequency_weights(labels: np.ndarray,
                                n_classes: int) -> np.ndarray:
     # absent classes get weight 0 (they contribute no CE terms anyway)

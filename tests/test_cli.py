@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from repseg.cli import main
-from repseg.dataio import REPORT_SCHEMA, load_checkpoint, read_report
+from repseg.dataio import (REPORT_SCHEMA, _digest, load_checkpoint,
+                           read_dataset, read_report, save_checkpoint,
+                           write_dataset)
+from repseg.model import Model, ModelConfig
 from repseg.synth import CLASS_NAMES
 
 CONFIG = {
@@ -115,6 +118,70 @@ def test_evaluate_checkpoints(workspace, capsys):
     for row in report["checkpoints"]:
         assert "loa" in row
         assert len(row["confusion"]) == 6
+    assert isinstance(report["aggregate"]["mean_macro_segmental_f1"], float)
+
+
+def test_evaluate_matches_losocv_fold(workspace, tmp_path):
+    """A fold section of `train --losocv` and `evaluate` of that fold's
+    checkpoint on the held-out subject alone score identically."""
+    fold = read_report(workspace / "run" / "train_report.json")["folds"][0]
+    dataset = read_dataset(workspace / "data")
+    rec, prof = dataset.by_subject(fold["test_subject"])
+    write_dataset(tmp_path / "held_out", [rec], [prof], dataset.seed,
+                  dataset.plan)
+    report_path = tmp_path / "eval.json"
+    assert main(["evaluate", "--data", str(tmp_path / "held_out"),
+                 "--checkpoints",
+                 str(workspace / "run" / fold["checkpoint"]),
+                 "--report", str(report_path)]) == 0
+    row = read_report(report_path)["checkpoints"][0]
+    for key in ("sample_accuracy", "sample_f1", "segmental", "confusion"):
+        assert row[key] == fold[key], key
+
+
+def test_evaluate_unknown_model_config_key_is_data_error(workspace,
+                                                         tmp_path, capsys):
+    doc = json.loads((workspace / "run" / "fold_s00.json").read_text())
+    doc["model_config"]["width"] = 3
+    doc["sha256"] = _digest({"model_config": doc["model_config"],
+                             "params": doc["params"]})
+    ckpt = tmp_path / "extra_key.json"
+    ckpt.write_text(json.dumps(doc))
+    code = main(["evaluate", "--data", str(workspace / "data"),
+                 "--checkpoints", str(ckpt)])
+    assert code == 3
+    assert "unknown model-config fields" in capsys.readouterr().err
+
+
+def test_evaluate_class_count_mismatch_is_data_error(workspace, tmp_path,
+                                                    capsys):
+    model = Model(ModelConfig(**{**CONFIG["model"], "n_classes": 4}),
+                  rng=np.random.default_rng(0))
+    ckpt = save_checkpoint(tmp_path / "four_classes.json", model)
+    code = main(["evaluate", "--data", str(workspace / "data"),
+                 "--checkpoints", str(ckpt)])
+    assert code == 3
+    assert "4 classes" in capsys.readouterr().err
+
+
+def test_non_finite_sample_is_data_error(workspace, tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    for src in (workspace / "data").iterdir():
+        (data / src.name).write_bytes(src.read_bytes())
+    lines = (data / "s00.csv").read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[1] = "nan"
+    lines[1] = ",".join(cells)
+    (data / "s00.csv").write_text("\n".join(lines) + "\n")
+    ckpt = workspace / "run" / "fold_s00.json"
+    for argv in (["evaluate", "--data", str(data), "--checkpoints",
+                  str(ckpt)],
+                 ["velocity", "--data", str(data), "--subject", "s00",
+                  "--use-true-labels"]):
+        report = tmp_path / f"{argv[0]}.json"
+        assert main(argv + ["--report", str(report)]) == 3
+        assert not report.exists()
 
 
 def test_evaluate_oracle_is_perfect(workspace, tmp_path):

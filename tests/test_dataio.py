@@ -87,6 +87,19 @@ def test_dataset_rejects_bad_label(tmp_path, cohort):
         read_dataset(tmp_path / "ds")
 
 
+def test_dataset_rejects_non_finite_sample(tmp_path, cohort):
+    recordings, profiles = cohort
+    write_dataset(tmp_path / "ds", recordings, profiles, 5, [(1, 2)])
+    csv_path = tmp_path / "ds" / "s00.csv"
+    lines = csv_path.read_text().splitlines()
+    cells = lines[4].split(",")
+    cells[2] = "nan"  # ay of row 3
+    lines[4] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match=r"s00\.csv.*row 3"):
+        read_dataset(tmp_path / "ds")
+
+
 def test_missing_manifest(tmp_path):
     with pytest.raises(DataFormatError):
         read_dataset(tmp_path)
@@ -120,6 +133,14 @@ def test_checkpoint_corruption_detected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(DataFormatError):
         load_checkpoint(path)
+
+
+def test_checkpoint_refuses_non_finite_parameters(tmp_path):
+    model = Model(ModelConfig(**TINY), rng=np.random.default_rng(3))
+    model.parameters()["embed.b"].data[0] = np.inf
+    with pytest.raises(ValueError, match="embed.b"):
+        save_checkpoint(tmp_path / "ckpt.json", model)
+    assert not (tmp_path / "ckpt.json").exists()
 
 
 def test_loaded_checkpoint_predicts_identically(tmp_path):
@@ -158,5 +179,9 @@ def test_report_roundtrip_and_schema(tmp_path):
 
     with pytest.raises(DataFormatError):
         write_report(tmp_path / "bad.json", {"kind": "run_report"})
+    with pytest.raises(ValueError):
+        write_report(tmp_path / "nan.json",
+                     {**report, "wall_clock_s": float("nan")})
+    assert not (tmp_path / "nan.json").exists()
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate({**report, "command": "dance"}, REPORT_SCHEMA)

@@ -10,8 +10,10 @@ from repseg.experiments import (
     losocv_benchmark,
     mask_ratio_sweep,
     run_fold,
+    score,
     windows_by_subject,
 )
+from repseg.metrics import labels_to_segments
 from repseg.model import ModelConfig
 from repseg.synth import make_cohort
 from repseg.train import Fold, TrainConfig
@@ -41,12 +43,13 @@ def test_run_fold_outcome_structure(tiny_windows):
     fold = Fold("s00", ("s01", "s02"))
     out = run_fold(tiny_windows, fold, MC, TC, return_params=True)
     assert out.fold == fold
-    assert 0.0 <= out.accuracy <= 1.0
+    assert 0.0 <= out.scores["sample_accuracy"] <= 1.0
     assert set(out.sample_report) == {"per_class", "macro_f1"}
-    assert len(out.confusion) == 6
+    assert len(out.scores["confusion"]) == 6
     assert out.curves["epoch"] == [1, 2]
     assert out.params is not None and "embed.w" in out.params
-    assert out.true_segments  # the held-out subject has labeled segments
+    # the held-out subject has labeled segments
+    assert labels_to_segments(out.labels[0])
 
 
 def test_run_fold_rejects_leaky_fold(tiny_windows):
@@ -61,13 +64,28 @@ def test_losocv_benchmark_and_determinism(tiny_windows):
     b = losocv_benchmark(tiny_windows, MC, TC)
     assert [o.fold.test_subject for o in a.outcomes] == ["s00", "s01", "s02"]
     assert a.mean_macro_sample_f1 == b.mean_macro_sample_f1
-    assert [o.accuracy for o in a.outcomes] == [o.accuracy for o in b.outcomes]
+    assert [o.scores["sample_accuracy"] for o in a.outcomes] \
+        == [o.scores["sample_accuracy"] for o in b.outcomes]
     assert set(a.aggregate_section()) == {"mean_macro_sample_f1",
                                           "mean_macro_segmental_f1"}
     folds = a.fold_sections()
     assert len(folds) == 3
     assert folds[0]["train_subjects"] == ["s01", "s02"]
-    assert a.loa.per_class  # chair classes present in every subject
+    assert a.loa["per_class"]  # chair classes present in every subject
+
+
+def test_score_builds_segments_per_subject():
+    # the first subject ends inside a class-1 repetition and the second
+    # starts with one: two repetitions, not one across the boundary
+    first = np.array([0, 0, 1, 1, 1])
+    second = np.array([1, 1, 0, 0, 0])
+    section = score([(first, first), (second, second)], n_classes=3)
+    assert section["segmental"]["per_class"]["1"]["tp"] == 2
+    assert section["segmental"]["macro_f1"] == 1.0
+    assert section["loa"]["per_class"]["1"]["pairs"] == [[1, 1], [1, 1]]
+    assert section["sample_accuracy"] == 1.0
+    assert section["sample_f1"]["per_class"]["1"]["tp"] == 5
+    assert "loa" not in score([(first, first)], n_classes=3)
 
 
 def test_default_sweep_seeds():

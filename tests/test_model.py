@@ -35,6 +35,9 @@ def test_config_validation():
     cfg = ModelConfig()
     assert cfg.ffn_dim == 512
     assert cfg.head_dim == 16
+    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    with pytest.raises(ValueError, match="unknown model-config"):
+        ModelConfig.from_dict({**cfg.to_dict(), "width": 3})
 
 
 def test_receptive_field_numbers():
