@@ -14,7 +14,7 @@ b = ad.parameter(np.zeros(3))
 x = ad.constant(rng.normal(size=(5, 4)))
 
 with ad.Tape() as tape:
-    h = ad.relu(ad.add(ad.matmul(x, w), b))
+    h = ad.relu(ad.linear(x, w, b))
     loss = ad.scale(ad.sum_all(ad.mul(h, h)), 1.0 / h.size)
     tape.backward(loss)
 
@@ -29,7 +29,7 @@ vals = []
 for delta in (+h_step, -h_step):
     w.data[0, 0] = old + delta
     with ad.no_grad():
-        hh = ad.relu(ad.add(ad.matmul(x, w), b))
+        hh = ad.relu(ad.linear(x, w, b))
         vals.append(ad.scale(ad.sum_all(ad.mul(hh, hh)), 1.0 / hh.size).item())
 w.data[0, 0] = old
 fd = (vals[0] - vals[1]) / (2.0 * h_step)

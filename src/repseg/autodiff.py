@@ -5,9 +5,21 @@ record themselves on the innermost active `Tape`, and `Tape.backward(loss)`
 replays the records in reverse, accumulating gradients into `Tensor.grad`.
 Only the ops the model needs are provided; every op validates its shapes and
 raises ValueError on mismatch rather than broadcasting silently.
+
+What the tape keeps: per op, the output's uid, each input's uid (plus the
+tensor itself only for a leaf, whose `.grad` it fills) and the backward
+closure. A closure captures only the arrays its gradient formula reads, so
+an intermediate that no backward reads (an attention logit block feeding
+`softmax_rows`, say) is freed as soon as the forward code drops it.
+`backward` pops each record once it has run, releasing that closure's
+arrays. No backward writes into the gradient it receives, and intermediate
+gradients are summed into fresh arrays, because `add` hands one array to
+both of its inputs.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -24,6 +36,7 @@ __all__ = [
     "scale",
     "neg",
     "matmul",
+    "linear",
     "transpose",
     "relu",
     "log_clamped",
@@ -46,10 +59,11 @@ class Tensor:
 
     `grad` is populated (as a plain ndarray) by `Tape.backward` for tensors
     with `requires_grad=True`; gradients accumulate across backward calls on
-    different tapes until `zero_grad` is called.
+    different tapes until `zero_grad` is called. `uid` names the tensor on a
+    tape; unlike `id()`, it is never reused after the tensor is freed.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "uid")
 
     def __init__(self, data, requires_grad: bool = False):
         # asarray keeps 0-d scalars 0-d (ascontiguousarray would promote to 1-d)
@@ -57,6 +71,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self.uid = _next_uid()
 
     @property
     def shape(self):
@@ -105,6 +120,9 @@ class Tensor:
         return matmul(self, other)
 
 
+_next_uid = itertools.count().__next__
+
+
 def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
@@ -114,6 +132,10 @@ def parameter(data) -> Tensor:
 
 
 class _Op:
+    """One recorded op: `out` is the output's uid; `inputs` holds, per
+    input, None when it needs no gradient, else (uid, tensor if it is a
+    leaf of this tape, else None)."""
+
     __slots__ = ("out", "inputs", "backward_fn")
 
     def __init__(self, out, inputs, backward_fn):
@@ -148,9 +170,14 @@ class Tape:
             raise GraphError("tape nesting corrupted")
         return False
 
-    def _record(self, op: _Op):
-        self._ops.append(op)
-        self._produced.add(id(op.out))
+    def _record(self, out: Tensor, inputs, backward_fn):
+        produced = self._produced
+        entries = tuple(
+            None if not t.requires_grad
+            else (t.uid, None if t.uid in produced else t)
+            for t in inputs)
+        self._ops.append(_Op(out.uid, entries, backward_fn))
+        produced.add(out.uid)
 
     def backward(self, loss: Tensor):
         """Seed d(loss)/d(loss)=1 and accumulate gradients into leaf tensors."""
@@ -158,25 +185,28 @@ class Tape:
             raise GraphError("backward called twice on the same tape")
         if loss.data.size != 1:
             raise GraphError(f"loss must be scalar, got shape {loss.data.shape}")
-        if id(loss) not in self._produced:
+        if loss.uid not in self._produced:
             raise GraphError("loss was not produced under this tape (detached graph)")
         self._used = True
 
-        # local grad store for intermediates; leaves accumulate into .grad
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        for op in reversed(self._ops):
-            g_out = grads.pop(id(op.out), None)
+        # local grad store for intermediates; leaves accumulate into .grad.
+        # Popping each record frees its closure's arrays as soon as it ran.
+        grads: dict[int, np.ndarray] = {loss.uid: np.ones_like(loss.data)}
+        ops = self._ops
+        while ops:
+            op = ops.pop()
+            g_out = grads.pop(op.out, None)
             if g_out is None:
                 continue
-            in_grads = op.backward_fn(g_out)
-            for t, g in zip(op.inputs, in_grads):
-                if g is None or not t.requires_grad:
+            for entry, g in zip(op.inputs, op.backward_fn(g_out)):
+                if g is None or entry is None:
                     continue
-                if id(t) in self._produced:
-                    prev = grads.get(id(t))
-                    grads[id(t)] = g if prev is None else prev + g
+                uid, leaf = entry
+                if leaf is not None:
+                    leaf.accumulate_grad(g)
                 else:
-                    t.accumulate_grad(g)
+                    prev = grads.get(uid)
+                    grads[uid] = g if prev is None else prev + g
 
 
 class no_grad:
@@ -200,17 +230,15 @@ def _make(out_data, inputs, backward_fn) -> Tensor:
     out = Tensor(out_data, requires_grad=rg)
     tape = _tape()
     if tape is not None and rg:
-        tape._record(_Op(out, inputs, backward_fn))
+        tape._record(out, inputs, backward_fn)
     return out
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a 1-D `b` as a per-column bias row."""
-    if a.shape == b.shape:
-        return _make(a.data + b.data, (a, b), lambda g: (g, g))
-    if b.data.ndim == 1 and a.data.ndim == 2 and b.shape[0] == a.shape[1]:
-        return _make(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=0)))
-    raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
+    """Elementwise sum of equal shapes (a bias row goes through `linear`)."""
+    if a.shape != b.shape:
+        raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
+    return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -222,8 +250,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    return _make(a.data * b.data, (a, b),
-                 lambda g: (g * b.data, g * a.data))
+    a_data, b_data = a.data, b.data
+    return _make(a_data * b_data, (a, b),
+                 lambda g: (g * b_data, g * a_data))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -238,8 +267,25 @@ def neg(a: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    return _make(a.data @ b.data, (a, b),
-                 lambda g: (g @ b.data.T, a.data.T @ g))
+    a_data, b_data = a.data, b.data
+    return _make(a_data @ b_data, (a, b),
+                 lambda g: (g @ b_data.T, a_data.T @ g))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node: x (T, D_in), w (D_in, D_out), bias b (D_out,).
+
+    The bias is added in place to the matmul output, so the result is
+    bit-identical to `x @ w + b` with one array fewer."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ValueError(f"linear shape mismatch: {x.shape} @ {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise ValueError(f"linear bias must be ({w.shape[1]},), got {b.shape}")
+    x_data, w_data = x.data, w.data
+    out = x_data @ w_data
+    out += b.data
+    return _make(out, (x, w, b),
+                 lambda g: (g @ w_data.T, x_data.T @ g, g.sum(axis=0)))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -262,16 +308,22 @@ def log_clamped(a: Tensor, eps: float = 1e-12) -> Tensor:
 
 
 def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-D tensor, shifted by the row max for stability."""
+    """Row-wise softmax of a 2-D tensor, shifted by the row max for stability.
+
+    Forward and backward each fill one fresh array in place; neither writes
+    into its input or into the gradient it receives."""
     if a.data.ndim != 2:
         raise ValueError(f"softmax_rows expects 2-D, got {a.shape}")
-    z = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = a.data - a.data.max(axis=1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=1, keepdims=True)
 
     def backward(g):
-        dot = (g * s).sum(axis=1, keepdims=True)
-        return (s * (g - dot),)
+        out = g * s
+        dot = out.sum(axis=1, keepdims=True)
+        np.subtract(g, dot, out=out)
+        out *= s
+        return (out,)
 
     return _make(s, (a,), backward)
 
@@ -285,16 +337,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     if gain.shape != (d,) or bias.shape != (d,):
         raise ValueError(
             f"layer_norm gain/bias must be ({d},), got {gain.shape}/{bias.shape}")
+    gain_data = gain.data
     mu = x.data.mean(axis=1, keepdims=True)
     var = x.data.var(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv_std
-    out = xhat * gain.data + bias.data
+    out = xhat * gain_data + bias.data
 
     def backward(g):
         g_gain = (g * xhat).sum(axis=0)
         g_bias = g.sum(axis=0)
-        g_hat = g * gain.data
+        g_hat = g * gain_data
         m1 = g_hat.mean(axis=1, keepdims=True)
         m2 = (g_hat * xhat).mean(axis=1, keepdims=True)
         g_x = inv_std * (g_hat - m1 - xhat * m2)
@@ -331,18 +384,19 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None,
     xp = np.zeros((t_len + 2 * pad, c_in))
     xp[pad:pad + t_len] = x.data
 
+    k_data = kernel.data
     out = np.zeros((t_len, c_out))
     for j in range(k):
-        out += xp[j * dilation:j * dilation + t_len] @ kernel.data[j]
+        out += xp[j * dilation:j * dilation + t_len] @ k_data[j]
     if bias is not None:
         out += bias.data
 
     def backward(g):
         g_xp = np.zeros_like(xp)
-        g_k = np.empty_like(kernel.data)
+        g_k = np.empty_like(k_data)
         for j in range(k):
             sl = slice(j * dilation, j * dilation + t_len)
-            g_xp[sl] += g @ kernel.data[j].T
+            g_xp[sl] += g @ k_data[j].T
             g_k[j] = xp[sl].T @ g
         g_x = g_xp[pad:pad + t_len]
         if bias is None:
@@ -394,11 +448,10 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     rows = parts[0].shape[0]
     if any(p.data.ndim != 2 or p.shape[0] != rows for p in parts):
         raise ValueError("concat_cols needs 2-D tensors with equal row counts")
-    widths = [p.shape[1] for p in parts]
-    edges = np.concatenate([[0], np.cumsum(widths)])
+    edges = np.cumsum([0] + [p.shape[1] for p in parts])
 
     def backward(g):
-        return tuple(g[:, edges[i]:edges[i + 1]] for i in range(len(parts)))
+        return tuple(g[:, lo:hi] for lo, hi in zip(edges[:-1], edges[1:]))
 
     return _make(np.concatenate([p.data for p in parts], axis=1),
                  tuple(parts), backward)

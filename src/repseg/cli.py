@@ -217,7 +217,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_velocity(args) -> int:
     started = time.perf_counter()
-    dataset = read_dataset(args.data)
+    dataset = read_dataset(args.data, subjects=[args.subject])
     rec, _ = dataset.by_subject(args.subject)
     report = _report_skeleton("velocity", args.seed, started)
     report["dataset"] = str(args.data)

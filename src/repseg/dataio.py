@@ -144,7 +144,10 @@ def _read_subject_csv(path: Path, rows: int) -> tuple[np.ndarray, np.ndarray]:
     return signal, labels
 
 
-def read_dataset(dataset_dir) -> Dataset:
+def read_dataset(dataset_dir, subjects=None) -> Dataset:
+    """Read a dataset directory; `subjects` (ids) limits parsing to those
+    subjects, kept in manifest order. An id the manifest lacks is a
+    KeyError."""
     dataset_dir = Path(dataset_dir)
     manifest_path = dataset_dir / "manifest.json"
     if not manifest_path.exists():
@@ -154,8 +157,14 @@ def read_dataset(dataset_dir) -> Dataset:
     if manifest.get("kind") != "dataset" \
             or manifest.get("format_version") != DATASET_FORMAT:
         raise DataFormatError("not a dataset manifest (kind/format_version)")
+    entries = manifest["subjects"]
+    if subjects is not None:
+        missing = set(subjects) - {e["subject_id"] for e in entries}
+        if missing:
+            raise KeyError(f"no subjects {sorted(missing)} in dataset")
+        entries = [e for e in entries if e["subject_id"] in subjects]
     recordings, profiles = [], []
-    for entry in manifest["subjects"]:
+    for entry in entries:
         signal, labels = _read_subject_csv(dataset_dir / entry["file"],
                                            entry["rows"])
         segments = labels_to_segments(labels)

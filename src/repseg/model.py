@@ -228,28 +228,30 @@ class Model:
                    rng: np.random.Generator | None) -> Tensor:
         p = self.params
         pre = f"enc{layer}.attn"
-        q = ad.add(ad.matmul(x, p[f"{pre}.wq"]), p[f"{pre}.bq"])
-        k = ad.add(ad.matmul(x, p[f"{pre}.wk"]), p[f"{pre}.bk"])
-        v = ad.add(ad.matmul(x, p[f"{pre}.wv"]), p[f"{pre}.bv"])
+        q = ad.linear(x, p[f"{pre}.wq"], p[f"{pre}.bq"])
+        k = ad.linear(x, p[f"{pre}.wk"], p[f"{pre}.bk"])
+        v = ad.linear(x, p[f"{pre}.wv"], p[f"{pre}.bv"])
+        # scaling q (T x d) instead of the T x T logits leaves softmax_rows
+        # as the only reader of each logit block, so the block is not kept
+        q = ad.scale(q, 1.0 / np.sqrt(self.config.head_dim))
         heads_q = ad.split_cols(q, self.config.n_heads)
         heads_k = ad.split_cols(k, self.config.n_heads)
         heads_v = ad.split_cols(v, self.config.n_heads)
-        inv_sqrt_dk = 1.0 / np.sqrt(self.config.head_dim)
         outs = []
         for hq, hk, hv in zip(heads_q, heads_k, heads_v):
-            logits = ad.scale(ad.matmul(hq, ad.transpose(hk)), inv_sqrt_dk)
-            attn = ad.softmax_rows(logits)  # full bidirectional context
+            # full bidirectional context
+            attn = ad.softmax_rows(ad.matmul(hq, ad.transpose(hk)))
             outs.append(ad.matmul(attn, hv))
         merged = ad.concat_cols(outs)
-        out = ad.add(ad.matmul(merged, p[f"{pre}.wo"]), p[f"{pre}.bo"])
+        out = ad.linear(merged, p[f"{pre}.wo"], p[f"{pre}.bo"])
         return self._maybe_dropout(out, training, rng)
 
     def _ffn(self, x: Tensor, layer: int, training: bool,
              rng: np.random.Generator | None) -> Tensor:
         p = self.params
         pre = f"enc{layer}.ffn"
-        h = ad.relu(ad.add(ad.matmul(x, p[f"{pre}.w1"]), p[f"{pre}.b1"]))
-        out = ad.add(ad.matmul(h, p[f"{pre}.w2"]), p[f"{pre}.b2"])
+        h = ad.relu(ad.linear(x, p[f"{pre}.w1"], p[f"{pre}.b1"]))
+        out = ad.linear(h, p[f"{pre}.w2"], p[f"{pre}.b2"])
         return self._maybe_dropout(out, training, rng)
 
     def encode(self, window, training: bool = False,
@@ -261,8 +263,8 @@ class Model:
                 f"window has {samples.shape[1]} channels, config expects "
                 f"{self.config.n_channels}")
         x = ad.constant(samples)
-        h = ad.add(ad.add(ad.matmul(x, self.params["embed.w"]),
-                          self.params["embed.b"]),
+        h = ad.add(ad.linear(x, self.params["embed.w"],
+                             self.params["embed.b"]),
                    self._pe(samples.shape[0]))
         for i in range(self.config.n_layers):
             p = self.params
@@ -278,13 +280,13 @@ class Model:
         Dilations run 1, 2, 4, ... so a logit at time t depends on features
         within influence_radius samples only."""
         p = self.params
-        h = ad.add(ad.matmul(features, p["tcn_in.w"]), p["tcn_in.b"])
+        h = ad.linear(features, p["tcn_in.w"], p["tcn_in.b"])
         for l in range(self.config.tcn_layers):
             c = ad.relu(ad.dilated_conv1d(
                 h, p[f"tcn{l}.conv.k"], p[f"tcn{l}.conv.b"], dilation=2 ** l))
-            c = ad.add(ad.matmul(c, p[f"tcn{l}.proj.w"]), p[f"tcn{l}.proj.b"])
+            c = ad.linear(c, p[f"tcn{l}.proj.w"], p[f"tcn{l}.proj.b"])
             h = ad.add(h, c)
-        return ad.add(ad.matmul(h, p["tcn_out.w"]), p["tcn_out.b"])
+        return ad.linear(h, p["tcn_out.w"], p["tcn_out.b"])
 
     def classify(self, window, training: bool = False,
                  rng: np.random.Generator | None = None) -> Tensor:
@@ -297,8 +299,8 @@ class Model:
         """Signal estimate (T, N) from the shared encoder features."""
         feats = self.encode(window, training, rng)
         p = self.params
-        h = ad.relu(ad.add(ad.matmul(feats, p["recon.w1"]), p["recon.b1"]))
-        return ad.add(ad.matmul(h, p["recon.w2"]), p["recon.b2"])
+        h = ad.relu(ad.linear(feats, p["recon.w1"], p["recon.b1"]))
+        return ad.linear(h, p["recon.w2"], p["recon.b2"])
 
     def predict_labels(self, window) -> np.ndarray:
         """Argmax class per sample, eval mode, no graph recording."""

@@ -5,6 +5,9 @@ match numeric differentiation of the same forward code to tight float64
 tolerance on smooth inputs.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from repseg.autodiff import (
     dilated_conv1d,
     dropout,
     layer_norm,
+    linear,
     log_clamped,
     matmul,
     mul,
@@ -71,16 +75,45 @@ def test_add_sub_mul_scale_neg_grads():
     fd_check(lambda t: sum_all(neg(mul(t[0], t[1]))), [a, b])
 
 
-def test_bias_row_broadcast_grad():
-    rng = np.random.default_rng(1)
-    x, bias = rnd(rng, 5, 3), rnd(rng, 3)
-    fd_check(lambda t: sum_all(mul(add(t[0], t[1]), add(t[0], t[1]))), [x, bias])
-
-
 def test_matmul_chain_grad():
     rng = np.random.default_rng(2)
     a, b, c = rnd(rng, 4, 3), rnd(rng, 3, 5), rnd(rng, 5, 2)
     fd_check(lambda t: sum_all(matmul(matmul(t[0], t[1]), t[2])), [a, b, c])
+
+
+def test_linear_grad():
+    rng = np.random.default_rng(13)
+    x, w, b = rnd(rng, 5, 4), rnd(rng, 4, 3), rnd(rng, 3)
+    fd_check(lambda t: sum_all(mul(linear(t[0], t[1], t[2]),
+                                   linear(t[0], t[1], t[2]))), [x, w, b])
+
+
+def test_linear_is_bit_identical_to_matmul_plus_bias():
+    # the same float operations as a separate matmul and bias add
+    rng = np.random.default_rng(14)
+    x_arr, w_arr, b_arr, c_arr = (rnd(rng, 7, 5), rnd(rng, 5, 3),
+                                  rnd(rng, 3), rnd(rng, 7, 3))
+    x, w, b = parameter(x_arr), parameter(w_arr), parameter(b_arr)
+    with Tape() as tape:
+        y = linear(x, w, b)
+        loss = sum_all(mul(y, constant(c_arr)))
+    tape.backward(loss)
+    assert np.array_equal(y.data, x_arr @ w_arr + b_arr)
+    assert np.array_equal(x.grad, c_arr @ w_arr.T)
+    assert np.array_equal(w.grad, x_arr.T @ c_arr)
+    assert np.array_equal(b.grad, c_arr.sum(axis=0))
+
+
+def test_linear_shape_errors():
+    x, w, b = (constant(np.zeros(s)) for s in ((4, 3), (3, 2), (2,)))
+    for bad in (
+            (constant(np.zeros(3)), w, b),             # 1-D input
+            (x, constant(np.zeros((3, 2, 1))), b),     # 3-D weight
+            (x, constant(np.zeros((4, 2))), b),        # inner dims differ
+            (x, w, constant(np.zeros(3))),             # bias length
+            (x, w, constant(np.zeros((1, 2))))):       # 2-D bias
+        with pytest.raises(ValueError):
+            linear(*bad)
 
 
 def test_transpose_grad():
@@ -120,6 +153,16 @@ def test_softmax_rows_grad_and_normalization():
     s = softmax_rows(constant(x * 50.0))  # large logits stay finite
     assert np.all(np.isfinite(s.data))
     assert np.abs(s.data.sum(axis=1) - 1.0).max() < 1e-12
+
+    # the in-place forward and backward write only into fresh arrays
+    xt = parameter(x.copy())
+    with Tape() as tape:
+        s = softmax_rows(xt)
+        loss = sum_all(mul(s, constant(w)))
+    kept = s.data.copy()
+    tape.backward(loss)
+    assert np.array_equal(xt.data, x)
+    assert np.array_equal(s.data, kept)
 
 
 def test_layer_norm_grad():
@@ -201,6 +244,49 @@ def test_two_consumer_accumulation():
         loss = sum_all(mul(x2, x2))
     tape.backward(loss)
     assert np.allclose(x2.grad, [[10.0]])
+
+
+def test_tape_frees_an_intermediate_no_backward_reads():
+    # matmul's output feeds only softmax_rows, whose backward reads its own
+    # output: the tape must not keep the logits alive
+    rng = np.random.default_rng(15)
+    arrays = [rnd(rng, 6, 4), rnd(rng, 4, 6)]
+    w = rnd(rng, 6, 6)
+
+    def build(t):
+        return sum_all(mul(softmax_rows(matmul(t[0], t[1])), constant(w)))
+
+    x, y = (parameter(a.copy()) for a in arrays)
+    with Tape() as tape:
+        logits = matmul(x, y)
+        alive = weakref.ref(logits.data)
+        probs = softmax_rows(logits)
+        del logits
+        gc.collect()
+        assert alive() is None
+        loss = sum_all(mul(probs, constant(w)))
+    tape.backward(loss)
+    fd_check(build, arrays)
+
+
+def test_many_dropped_temporaries_under_one_tape():
+    # freed temporaries must not be confused with tensors created later;
+    # with id() keys a new leaf can take a dead intermediate's id
+    x = parameter(np.array([[1.5, -2.0, 0.5]]))
+    leaves = []
+    with Tape() as tape:
+        total = sum_all(mul(x, x))
+        for i in range(300):
+            leaf = parameter(np.full((1, 3), 0.01 * i))
+            tmp = mul(x, leaf)
+            total = add(total, sum_all(tmp))
+            del tmp
+            leaves.append(leaf)
+    tape.backward(total)
+    want_x = 2.0 * x.data + sum(leaf.data for leaf in leaves)
+    assert np.allclose(x.grad, want_x, rtol=1e-13, atol=0.0)
+    for leaf in leaves:
+        assert np.array_equal(leaf.grad, x.data)
 
 
 def test_grad_accumulates_until_zeroed():
@@ -293,5 +379,7 @@ def test_shape_mismatch_errors():
     for op in (add, sub, mul):
         with pytest.raises(ValueError):
             op(a, b)
+    with pytest.raises(ValueError):
+        add(a, constant(np.zeros(3)))  # no bias-row broadcast
     with pytest.raises(ValueError):
         matmul(a, constant(np.zeros((2, 2))))

@@ -184,6 +184,20 @@ def test_non_finite_sample_is_data_error(workspace, tmp_path):
         assert not report.exists()
 
 
+def test_velocity_reads_only_its_subject(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for src in (workspace / "data").iterdir():
+        (data / src.name).write_bytes(src.read_bytes())
+    (data / "s01.csv").write_text("not a csv\n")
+    argv = ["velocity", "--data", str(data), "--use-true-labels"]
+    assert main(argv + ["--subject", "s00"]) == 0
+    report = tmp_path / "unknown.json"
+    assert main(argv + ["--subject", "s09", "--report", str(report)]) == 3
+    assert "s09" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_evaluate_oracle_is_perfect(workspace, tmp_path):
     report_path = tmp_path / "oracle.json"
     code = main(["evaluate", "--data", str(workspace / "data"),

@@ -53,6 +53,25 @@ def test_dataset_roundtrip_is_bit_exact(tmp_path, cohort):
         ds.by_subject("s99")
 
 
+def test_read_dataset_parses_only_the_listed_subjects(tmp_path, cohort):
+    recordings, profiles = cohort
+    write_dataset(tmp_path / "ds", recordings, profiles, 5, [(1, 2), (4, 1)])
+    (tmp_path / "ds" / "s00.csv").write_text("not a csv\n")  # never opened
+    ds = read_dataset(tmp_path / "ds", subjects=["s01"])
+    assert ds.subject_ids() == ["s01"]
+    assert np.array_equal(ds.recordings[0].signal, recordings[1].signal)
+    assert ds.profiles == [profiles[1]]
+    with pytest.raises(KeyError, match="s07"):
+        read_dataset(tmp_path / "ds", subjects=["s01", "s07"])
+
+
+def test_read_dataset_keeps_manifest_order(tmp_path, cohort):
+    recordings, profiles = cohort
+    write_dataset(tmp_path / "ds", recordings, profiles, 5, [(1, 2), (4, 1)])
+    ds = read_dataset(tmp_path / "ds", subjects=["s01", "s00"])
+    assert ds.subject_ids() == ["s00", "s01"]
+
+
 def test_dataset_write_is_deterministic(tmp_path, cohort):
     recordings, profiles = cohort
     write_dataset(tmp_path / "a", recordings, profiles, 5, [(1, 2)])

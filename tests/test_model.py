@@ -7,6 +7,8 @@ import pytest
 
 import fdtools
 from repseg import autodiff as ad
+from repseg.masking import (apply_mask, combined_loss, cross_entropy,
+                            draw_mask, masked_mse, one_hot)
 from repseg.model import (
     Model,
     ModelConfig,
@@ -18,6 +20,7 @@ from repseg.model import (
 
 TINY = dict(d_model=8, n_heads=2, n_layers=1, dropout=0.1, window_len=40,
             ffn_dim=16, tcn_layers=3, tcn_channels=4)
+TINY_CLASSES = ModelConfig(**TINY).n_classes
 
 
 def tiny_model(seed=0, **over):
@@ -198,3 +201,41 @@ def test_sampled_fd_gradients_through_both_routes():
         model.params, lambda: graph_loss().item(), coords=coords, h=1e-5)
     assert checked >= 2 * len(model.params) - 5
     assert err < 1e-5, f"max rel err {err:.3g} over {checked} coords"
+
+
+class ReadOnlyGradTape(ad.Tape):
+    """A tape that hands every backward closure a read-only gradient, so a
+    closure writing into the gradient it receives raises. (A 0-d product
+    can arrive as a numpy scalar, which is immutable already.)"""
+
+    def _record(self, out, inputs, backward_fn):
+        def guarded(g):
+            if isinstance(g, np.ndarray):
+                g.flags.writeable = False
+            return backward_fn(g)
+
+        super()._record(out, inputs, guarded)
+
+
+def test_no_backward_writes_into_its_incoming_gradient():
+    # one training step over both routes (dropout on, masked reconstruction)
+    # must run with read-only gradients and match an ordinary tape exactly
+    x = np.random.default_rng(18).standard_normal((40, 6))
+    labels = np.arange(40) % TINY_CLASSES
+    spec = draw_mask(40, 6, 10, 0.5, np.random.default_rng(19))
+    grads = []
+    for tape_cls in (ReadOnlyGradTape, ad.Tape):
+        model = tiny_model(seed=20)
+        rng = np.random.default_rng(21)
+        with tape_cls() as tape:
+            ce = cross_entropy(model.classify(x, training=True, rng=rng),
+                               one_hot(labels, TINY_CLASSES))
+            recon = model.reconstruct(apply_mask(SignalWindow(x), spec),
+                                      training=True, rng=rng)
+            loss = combined_loss(ce, masked_mse(x, recon, spec.sample_mask()))
+        tape.backward(loss)
+        grads.append({k: p.grad for k, p in model.params.items()})
+    guarded, plain = grads
+    for name, g in plain.items():
+        assert g is not None, name
+        assert np.array_equal(guarded[name], g), name
