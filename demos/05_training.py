@@ -1,8 +1,8 @@
 """One training fold, start to finish.
 
 Both routes run in every step: classification on the clean window,
-reconstruction on the masked one, a single backward pass through the shared
-encoder, one Adam update. Watch the reconstruction term fall as the encoder
+reconstruction on the masked one, each route's loss backpropagated through
+the shared encoder as soon as it exists, one Adam update. Watch the reconstruction term fall as the encoder
 learns the signal.
 """
 

@@ -6,6 +6,14 @@ replays the records in reverse, accumulating gradients into `Tensor.grad`.
 Only the ops the model needs are provided; every op validates its shapes and
 raises ValueError on mismatch rather than broadcasting silently.
 
+A tape can run backward more than once. Each call runs the records made
+since the previous call (the loss must be one of their outputs) and then
+drops them, so a sum of losses can be backwarded term by term, each term's
+graph freed before the next is built; leaves accumulate `.grad` over the
+calls. A tensor whose record has already run has no graph behind it any
+more: an op that reads it raises GraphError instead of treating it as a
+leaf.
+
 What the tape keeps: per op, the output's uid, each input's uid (plus the
 tensor itself only for a leaf, whose `.grad` it fills) and the backward
 closure. A closure captures only the arrays its gradient formula reads, so
@@ -51,16 +59,17 @@ __all__ = [
 
 
 class GraphError(RuntimeError):
-    """Raised on tape misuse: double backward, detached loss, non-scalar loss."""
+    """Raised on tape misuse: double backward, detached loss, non-scalar loss,
+    an op reading a tensor whose record backward already ran."""
 
 
 class Tensor:
     """A float64 array plus gradient bookkeeping.
 
     `grad` is populated (as a plain ndarray) by `Tape.backward` for tensors
-    with `requires_grad=True`; gradients accumulate across backward calls on
-    different tapes until `zero_grad` is called. `uid` names the tensor on a
-    tape; unlike `id()`, it is never reused after the tensor is freed.
+    with `requires_grad=True`; gradients accumulate across backward calls,
+    on one tape or several, until `zero_grad` is called. `uid` names the
+    tensor on a tape; unlike `id()`, it is never reused after it is freed.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "uid")
@@ -152,13 +161,15 @@ class Tape:
     """Records ops executed inside its `with` block, in execution order.
 
     Execution order is a topological order of the graph, so backward simply
-    walks the records reversed. One backward per tape; a second call raises.
+    walks the records reversed. Each backward runs and drops the records made
+    since the previous one; a loss whose records already ran cannot be
+    backwarded again, and no op may read an output of such a record.
     """
 
     def __init__(self):
         self._ops: list[_Op] = []
-        self._produced: set[int] = set()
-        self._used = False
+        self._produced: set[int] = set()  # outputs of records not yet run
+        self._spent: set[int] = set()  # outputs of records already run
 
     def __enter__(self):
         _ACTIVE.append(self)
@@ -172,22 +183,32 @@ class Tape:
 
     def _record(self, out: Tensor, inputs, backward_fn):
         produced = self._produced
-        entries = tuple(
-            None if not t.requires_grad
-            else (t.uid, None if t.uid in produced else t)
-            for t in inputs)
-        self._ops.append(_Op(out.uid, entries, backward_fn))
+        entries = []
+        for t in inputs:
+            if not t.requires_grad:
+                entries.append(None)
+            elif t.uid in produced:
+                entries.append((t.uid, None))
+            elif t.uid in self._spent:
+                raise GraphError("op input was produced by a record that "
+                                 "backward already ran")
+            else:
+                entries.append((t.uid, t))
+        self._ops.append(_Op(out.uid, tuple(entries), backward_fn))
         produced.add(out.uid)
 
     def backward(self, loss: Tensor):
-        """Seed d(loss)/d(loss)=1 and accumulate gradients into leaf tensors."""
-        if self._used:
-            raise GraphError("backward called twice on the same tape")
+        """Seed d(loss)/d(loss)=1, run the records made since the previous
+        backward and accumulate gradients into leaf tensors."""
         if loss.data.size != 1:
             raise GraphError(f"loss must be scalar, got shape {loss.data.shape}")
         if loss.uid not in self._produced:
-            raise GraphError("loss was not produced under this tape (detached graph)")
-        self._used = True
+            if loss.uid in self._spent:
+                raise GraphError("backward already ran the records of this loss")
+            raise GraphError("loss was not produced under this tape since its "
+                             "last backward (detached graph)")
+        self._spent |= self._produced
+        self._produced.clear()
 
         # local grad store for intermediates; leaves accumulate into .grad.
         # Popping each record frees its closure's arrays as soon as it ran.

@@ -68,10 +68,19 @@ def _load_config_file(path: str | None) -> tuple[dict, dict]:
         return {}, {}
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"config file {path} must hold a JSON object "
+                              f"with optional \"model\" and \"train\" objects")
     extra = set(doc) - {"model", "train"}
     if extra:
         raise DataFormatError(f"config file has unknown sections {extra}")
-    return doc.get("model", {}), doc.get("train", {})
+    sections = {name: doc.get(name, {}) for name in ("model", "train")}
+    bad = [name for name, section in sections.items()
+           if not isinstance(section, dict)]
+    if bad:
+        raise DataFormatError(f"config file {path}: sections {bad} must be "
+                              f"JSON objects")
+    return sections["model"], sections["train"]
 
 
 def _build_configs(args) -> tuple[ModelConfig, TrainConfig]:

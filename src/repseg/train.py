@@ -1,9 +1,13 @@
 """Optimization loop for the dual-route model.
 
 Every step draws fresh masks, runs the classification route on the unmasked
-window and the reconstruction route on the masked window, combines the two
-losses into one scalar, and updates all parameters together, so the encoder
-is shared by construction. Leave-one-subject-out splits live here too.
+window and the reconstruction route on the masked window, and updates all
+parameters together from the gradient of eta * CE + MSE averaged over the
+batch, so the encoder is shared by construction. That loss is a sum over
+windows and routes, so each route is backpropagated as soon as its loss
+exists and its graph is freed before the next forward: a step holds one
+route's graph at a time, whatever the batch size. Leave-one-subject-out
+splits live here too.
 """
 
 from __future__ import annotations
@@ -188,11 +192,13 @@ def _as_batches(order: np.ndarray, batch_size: int):
         yield order[i:i + batch_size]
 
 
-def _mean_of(terms: list[ad.Tensor]) -> ad.Tensor:
+def _mean_of(terms: list[float]) -> float:
+    # a left-to-right sum times 1/n, the float operations of the batch mean
+    # as a tape computes it, so a StepRecord holds that loss bit for bit
     total = terms[0]
     for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.scale(total, 1.0 / len(terms))
+        total = total + t
+    return total * (1.0 / len(terms))
 
 
 def _validation_ce(model: Model, samples: np.ndarray, labels: np.ndarray,
@@ -212,10 +218,13 @@ def train_fold(samples: np.ndarray, labels: np.ndarray,
     """Train on (W, T, N) windows with (W, T) integer labels.
 
     Each step: classification sees the unmasked window, reconstruction sees
-    the same window with freshly drawn patches zeroed, and the total
-    eta * ce + mse is backpropagated once through the shared encoder. With an
-    empty mask the reconstruction term is exactly zero, so that route is
-    skipped and only the classification loss trains the network.
+    the same window with freshly drawn patches zeroed, and the gradient of
+    the batch mean of eta * ce + mse reaches the shared encoder as one
+    backward per window and route, each run as soon as its loss exists. With
+    an empty mask the reconstruction term is exactly zero, so that route is
+    skipped and only the classification loss trains the network. A step
+    whose loss is not finite raises TrainingDivergedError before the update,
+    with the gradients cleared.
 
     Early stopping (optional) watches mean validation cross-entropy and
     restores the best parameters seen.
@@ -246,6 +255,8 @@ def train_fold(samples: np.ndarray, labels: np.ndarray,
     class_weights = (_inverse_frequency_weights(labels, n_classes)
                      if config.class_weighting else None)
     onehots = [one_hot(labels[i], n_classes) for i in range(n_windows)]
+    loss_weights = LossWeights(eta=config.eta)
+    zero = ad.constant(np.zeros(()))
 
     result = TrainResult(model=model)
     best_val = np.inf
@@ -259,33 +270,42 @@ def train_fold(samples: np.ndarray, labels: np.ndarray,
         epoch_steps = []
         for batch in _as_batches(order, config.batch_size):
             step_no += 1
+            # draw_mask hides round(ratio * n_patches) patches in every
+            # window, so either every window has an MSE term or none does:
+            # both means divide by the batch size
+            weight = 1.0 / len(batch)
+            ce_terms = []
+            mse_terms = []
             with ad.Tape() as tape:
-                ce_terms = []
-                mse_terms = []
+                # no local keeps a route's output past its backward, so the
+                # route's graph is freed before the next forward
                 for i in batch:
                     window = SignalWindow(samples[i])
-                    probs = model.classify(window, training=True, rng=rng)
-                    ce_terms.append(
-                        cross_entropy(probs, onehots[i], class_weights))
+                    ce_i = cross_entropy(
+                        model.classify(window, training=True, rng=rng),
+                        onehots[i], class_weights)
+                    tape.backward(combined_loss(ad.scale(ce_i, weight), zero,
+                                                loss_weights))
+                    ce_terms.append(ce_i.item())
                     spec = draw_mask(window_len, n_channels,
                                      config.patch_len, config.mask_ratio, rng)
                     if spec.masked_patches.size:
-                        recon = model.reconstruct(apply_mask(window, spec),
-                                                  training=True, rng=rng)
-                        mse_terms.append(
-                            masked_mse(samples[i], recon,
-                                       spec.sample_mask()))
+                        mse_i = masked_mse(
+                            samples[i],
+                            model.reconstruct(apply_mask(window, spec),
+                                              training=True, rng=rng),
+                            spec.sample_mask())
+                        tape.backward(combined_loss(
+                            zero, ad.scale(mse_i, weight), loss_weights))
+                        mse_terms.append(mse_i.item())
                 ce = _mean_of(ce_terms)
-                mse = (_mean_of(mse_terms) if mse_terms
-                       else ad.constant(np.zeros(())))
-                loss = combined_loss(ce, mse, LossWeights(eta=config.eta))
-                rec = StepRecord(epoch, step_no, loss.item(), ce.item(),
-                                 mse.item())
+                mse = _mean_of(mse_terms) if mse_terms else 0.0
+                rec = StepRecord(epoch, step_no, ce * config.eta + mse, ce, mse)
                 if not (np.isfinite(rec.loss) and np.isfinite(rec.ce)
                         and np.isfinite(rec.mse)):
+                    optimizer.zero_grad()
                     raise TrainingDivergedError(epoch, step_no, rec.loss,
                                                 rec.ce, rec.mse)
-                tape.backward(loss)
             optimizer.step()
             optimizer.zero_grad()
             epoch_steps.append(rec)

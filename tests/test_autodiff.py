@@ -309,6 +309,56 @@ def test_backward_twice_raises():
         tape.backward(loss)
 
 
+def test_consecutive_backwards_on_one_tape_match_separate_tapes():
+    # two losses sharing leaves, each backwarded as soon as it exists, must
+    # leave the same leaf gradients as one tape per loss
+    rng = np.random.default_rng(30)
+    arrays = [rnd(rng, 4, 5), rnd(rng, 5, 3), rnd(rng, 3)]
+    w = rnd(rng, 4, 3)
+
+    def first(x, y, b):
+        return sum_all(mul(softmax_rows(linear(x, y, b)), constant(w)))
+
+    def second(x, y, b):
+        h = relu(matmul(x, y))
+        return sum_all(mul(h, h))
+
+    leaves = [parameter(a.copy()) for a in arrays]
+    with Tape() as tape:
+        tape.backward(first(*leaves))
+        tape.backward(second(*leaves))
+    separate = [parameter(a.copy()) for a in arrays]
+    for build in (first, second):
+        with Tape() as t:
+            loss = build(*separate)
+        t.backward(loss)
+    for got, want in zip(leaves, separate):
+        assert np.array_equal(got.grad, want.grad)
+
+
+def test_op_reading_an_already_backwarded_tensor_raises():
+    # h's record ran with the first backward; treating h as a leaf would
+    # silently drop the gradient path back to x
+    x = parameter(np.array([[1.0, -2.0]]))
+    with Tape() as tape:
+        h = mul(x, x)
+        tape.backward(sum_all(h))
+        with pytest.raises(GraphError):
+            sum_all(h)
+    assert np.array_equal(x.grad, 2.0 * x.data)
+
+
+def test_backward_of_a_loss_recorded_before_the_previous_backward_raises():
+    x = parameter(np.ones(3))
+    with Tape() as tape:
+        early = sum_all(mul(x, x))
+        late = sum_all(x)
+        tape.backward(late)
+        with pytest.raises(GraphError):
+            tape.backward(early)
+    assert np.array_equal(x.grad, np.ones(3))
+
+
 def test_backward_non_scalar_raises():
     x = parameter(np.ones((2, 2)))
     with Tape() as tape:

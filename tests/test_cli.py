@@ -101,6 +101,33 @@ def test_train_enumerates_config_violations(workspace, tmp_path, capsys):
     assert "model config" in err and "train config" in err
 
 
+@pytest.mark.parametrize("doc", [5, [CONFIG], "model", None])
+def test_train_config_that_is_not_an_object_is_data_error(
+        workspace, tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["train", "--data", str(workspace / "data"),
+                 "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "must hold a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_config_section_that_is_not_an_object_is_data_error(
+        workspace, tmp_path, capsys):
+    for doc, named in (({"model": 5}, "'model'"),
+                       ({"model": CONFIG["model"], "train": [1]}, "'train'"),
+                       ({"train": None}, "'train'")):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["train", "--data", str(workspace / "data"),
+                     "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert named in err and "must be JSON objects" in err
+        assert not (tmp_path / "o").exists()
+
+
 def test_evaluate_checkpoints(workspace, capsys):
     run = workspace / "run"
     ckpts = sorted(str(p) for p in run.glob("fold_*.json"))

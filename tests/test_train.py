@@ -2,13 +2,18 @@
 update, loss bookkeeping identities, shared-encoder gradient flow in both
 directions, and seed determinism."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from repseg import autodiff as ad
-from repseg.model import Model, ModelConfig, init_params
+from repseg.masking import (LossWeights, apply_mask, combined_loss,
+                            cross_entropy, draw_mask, masked_mse, one_hot)
+from repseg.model import Model, ModelConfig, SignalWindow, init_params
 from repseg.train import (
     Adam,
+    StepRecord,
     TrainConfig,
     TrainingDivergedError,
     make_losocv,
@@ -188,6 +193,104 @@ def test_divergence_raises_with_diagnostics():
     assert exc.value.step >= 1
     assert np.isnan(exc.value.ce)
     assert "ce=" in str(exc.value)
+
+
+def test_diverged_step_leaves_the_params_passed_in_untouched():
+    # the backward of every route runs before the step's loss is checked;
+    # the gradients it left must not reach the caller's tensors
+    samples, labels = tiny_dataset()
+    samples[2, 7, 0] = np.nan
+    mc = tiny_model_config()
+    params = init_params(mc, np.random.default_rng(5))
+    start = {k: p.data.copy() for k, p in params.items()}
+    cfg = TrainConfig(batch_size=4, epochs=1, seed=5, mask_ratio=0.5,
+                      patch_len=10)
+    with pytest.raises(TrainingDivergedError) as exc:
+        train_fold(samples, labels, mc, cfg, params=params)
+    assert exc.value.step == 1
+    for k, p in params.items():
+        assert np.array_equal(p.data, start[k]), k
+        assert p.grad is None, k
+
+
+def _tensor_mean(terms):
+    total = terms[0]
+    for t in terms[1:]:
+        total = ad.add(total, t)
+    return ad.scale(total, 1.0 / len(terms))
+
+
+def test_one_step_matches_a_single_tape_batch_loss(monkeypatch):
+    # the per-route backwards of a step must sum to the gradient of the
+    # batch loss built whole on one tape and backwarded once
+    samples, labels = tiny_dataset(n_windows=3)
+    mc = tiny_model_config()  # dropout on: the RNG order must be kept
+    cfg = TrainConfig(batch_size=3, epochs=1, seed=8, mask_ratio=0.5,
+                      patch_len=10)
+    start = {k: p.data.copy()
+             for k, p in init_params(mc, np.random.default_rng(2)).items()}
+    grads = {}
+    monkeypatch.setattr(Adam, "step", lambda opt: grads.update(
+        {k: p.grad.copy() for k, p in opt.params.items()}))
+    res = train_fold(samples, labels, mc, cfg,
+                     params={k: ad.parameter(v.copy())
+                             for k, v in start.items()})
+
+    model = Model(mc, params={k: ad.parameter(v.copy())
+                              for k, v in start.items()})
+    rng = np.random.default_rng(cfg.seed)
+    ce_terms, mse_terms = [], []
+    with ad.Tape() as tape:
+        for i in rng.permutation(samples.shape[0]):
+            window = SignalWindow(samples[i])
+            ce_terms.append(cross_entropy(
+                model.classify(window, training=True, rng=rng),
+                one_hot(labels[i], mc.n_classes)))
+            spec = draw_mask(*samples.shape[1:], cfg.patch_len,
+                             cfg.mask_ratio, rng)
+            recon = model.reconstruct(apply_mask(window, spec),
+                                      training=True, rng=rng)
+            mse_terms.append(masked_mse(samples[i], recon,
+                                        spec.sample_mask()))
+        ce, mse = _tensor_mean(ce_terms), _tensor_mean(mse_terms)
+        loss = combined_loss(ce, mse, LossWeights(eta=cfg.eta))
+    tape.backward(loss)
+
+    assert res.steps == [StepRecord(1, 1, loss.item(), ce.item(),
+                                    mse.item())]
+    assert grads.keys() == model.params.keys()
+    for k, p in model.params.items():
+        np.testing.assert_allclose(grads[k], p.grad, rtol=1e-12, atol=0,
+                                   err_msg=k)
+
+
+def test_a_window_graph_is_freed_before_the_next_window_forward(
+        monkeypatch):
+    # every softmax output of window 0 (attention blocks of both routes and
+    # the class probabilities) must be gone when window 1's forward starts
+    samples, labels = tiny_dataset(n_windows=2)
+    cfg = TrainConfig(batch_size=2, epochs=1, seed=3, mask_ratio=0.5,
+                      patch_len=10)
+    refs = []
+    alive_at_forward = []
+    softmax, classify = ad.softmax_rows, Model.classify
+
+    def tracked_softmax(a):
+        out = softmax(a)
+        refs.append(weakref.ref(out.data))
+        return out
+
+    def tracked_classify(self, *args, **kwargs):
+        alive_at_forward.append(
+            (len(refs), sum(ref() is not None for ref in refs)))
+        return classify(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "softmax_rows", tracked_softmax)
+    monkeypatch.setattr(Model, "classify", tracked_classify)
+    train_fold(samples, labels, tiny_model_config(), cfg)
+    (before_0, _), (before_1, alive) = alive_at_forward
+    assert before_0 == 0 and before_1 > 0
+    assert alive == 0
 
 
 def test_early_stopping_restores_best_parameters():
