@@ -336,8 +336,8 @@ def main(argv=None) -> int:
     except (TrainingDivergedError, StillWindowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataFormatError, FileNotFoundError, KeyError,
-            json.JSONDecodeError, ValueError) as exc:
+    except (DataFormatError, OSError, KeyError, json.JSONDecodeError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -38,6 +38,14 @@ class ChecksumError(DataFormatError):
     """A checkpoint payload does not match its recorded checksum."""
 
 
+def _require_object(value, what: str) -> dict:
+    """`value` if it is a JSON object, else a DataFormatError naming it."""
+    if not isinstance(value, dict):
+        raise DataFormatError(f"{what} must be a JSON object, got "
+                              f"{type(value).__name__}")
+    return value
+
+
 # ---------------------------------------------------------------- datasets
 
 @dataclass
@@ -153,11 +161,15 @@ def read_dataset(dataset_dir, subjects=None) -> Dataset:
     if not manifest_path.exists():
         raise DataFormatError(f"no manifest.json under {dataset_dir}")
     with open(manifest_path) as fh:
-        manifest = json.load(fh)
+        manifest = _require_object(json.load(fh), "manifest.json")
     if manifest.get("kind") != "dataset" \
             or manifest.get("format_version") != DATASET_FORMAT:
         raise DataFormatError("not a dataset manifest (kind/format_version)")
     entries = manifest["subjects"]
+    if not isinstance(entries, list):
+        raise DataFormatError("manifest subjects must be a JSON array")
+    for entry in entries:
+        _require_object(entry, "a manifest subject entry")
     if subjects is not None:
         missing = set(subjects) - {e["subject_id"] for e in entries}
         if missing:
@@ -174,7 +186,8 @@ def read_dataset(dataset_dir, subjects=None) -> Dataset:
         recordings.append(Recording(
             subject_id=entry["subject_id"], signal=signal, labels=labels,
             segments=segments, sample_rate=float(manifest["sample_rate"])))
-        profiles.append(SubjectProfile.from_dict(entry["profile"]))
+        profiles.append(SubjectProfile.from_dict(
+            _require_object(entry["profile"], f"{entry['file']} profile")))
     return Dataset(
         sample_rate=float(manifest["sample_rate"]),
         seed=int(manifest["seed"]),
@@ -228,16 +241,19 @@ def save_checkpoint(path, model: Model) -> Path:
 
 def load_checkpoint(path) -> Model:
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = _require_object(json.load(fh), f"checkpoint {path}")
     if doc.get("kind") != "checkpoint" \
             or doc.get("format_version") != CHECKPOINT_FORMAT:
         raise DataFormatError("not a checkpoint (kind/format_version)")
-    payload = {"model_config": doc["model_config"], "params": doc["params"]}
+    payload = {"model_config": _require_object(doc["model_config"],
+                                               f"{path}: model_config"),
+               "params": _require_object(doc["params"], f"{path}: params")}
     if _digest(payload) != doc.get("sha256"):
         raise ChecksumError(f"{path}: payload does not match its checksum")
     config = ModelConfig.from_dict(doc["model_config"])
     params = {}
     for name, block in doc["params"].items():
+        _require_object(block, f"{path}: parameter {name}")
         raw = base64.b64decode(block["data"])
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
         expected = int(np.prod(block["shape"])) if block["shape"] else 1

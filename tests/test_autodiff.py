@@ -174,6 +174,18 @@ def test_layer_norm_grad():
         [x, gain, bias], tol=5e-6)
 
 
+@pytest.mark.parametrize("shape", [(800, 128), (160, 16), (7, 5), (1, 3)])
+@pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e3])
+def test_layer_norm_forward_matches_numpy_var_bit_for_bit(shape, magnitude):
+    rng = np.random.default_rng(shape[0] + shape[1])
+    x = rnd(rng, *shape) * magnitude
+    gain, bias = rnd(rng, shape[1]), rnd(rng, shape[1])
+    inv_std = 1.0 / np.sqrt(x.var(axis=1, keepdims=True) + 1e-5)
+    want = (x - x.mean(axis=1, keepdims=True)) * inv_std * gain + bias
+    got = layer_norm(constant(x), constant(gain), constant(bias)).data
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("dilation", [1, 2, 4])
 def test_dilated_conv1d_grad(dilation):
     rng = np.random.default_rng(8 + dilation)

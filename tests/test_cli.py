@@ -312,3 +312,62 @@ def test_missing_dataset_is_data_error(tmp_path, capsys):
     code = main(["evaluate", "--data", str(tmp_path / "nope"), "--oracle"])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("part", ["top", "model_config", "params", "block"])
+def test_checkpoint_part_that_is_not_an_object_is_data_error(
+        workspace, tmp_path, capsys, part):
+    doc = json.loads((workspace / "run" / "fold_s00.json").read_text())
+    if part == "block":
+        doc["params"][next(iter(doc["params"]))] = 5
+    elif part != "top":
+        doc[part] = []
+    doc["sha256"] = _digest({"model_config": doc["model_config"],
+                             "params": doc["params"]})
+    ckpt = tmp_path / "bad.json"
+    ckpt.write_text(json.dumps([] if part == "top" else doc))
+    for argv in (["evaluate", "--data", str(workspace / "data"),
+                  "--checkpoints", str(ckpt)],
+                 ["velocity", "--data", str(workspace / "data"),
+                  "--subject", "s00", "--checkpoint", str(ckpt)]):
+        report = tmp_path / f"{argv[0]}.json"
+        assert main(argv + ["--report", str(report)]) == 3
+        assert "must be a JSON object" in capsys.readouterr().err
+        assert not report.exists()
+
+
+@pytest.mark.parametrize("part", ["top", "subjects", "entry", "profile"])
+def test_manifest_part_that_is_not_an_object_is_data_error(
+        workspace, tmp_path, capsys, part):
+    data = tmp_path / "data"
+    data.mkdir()
+    for src in (workspace / "data").iterdir():
+        (data / src.name).write_bytes(src.read_bytes())
+    manifest = json.loads((data / "manifest.json").read_text())
+    if part == "top":
+        manifest = []
+    elif part == "subjects":
+        manifest["subjects"] = 5
+    elif part == "entry":
+        manifest["subjects"][1] = 5
+    else:
+        manifest["subjects"][0]["profile"] = [1]
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    report = tmp_path / "report.json"
+    assert main(["evaluate", "--data", str(data), "--oracle",
+                 "--report", str(report)]) == 3
+    assert "must be a JSON" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_directory_given_as_input_file_is_data_error(workspace, tmp_path,
+                                                     capsys):
+    report = tmp_path / "report.json"
+    for argv in (["evaluate", "--data", str(workspace / "data"),
+                  "--checkpoints", str(tmp_path), "--report", str(report)],
+                 ["train", "--data", str(workspace / "data"),
+                  "--config", str(tmp_path), "--out", str(tmp_path / "o")]):
+        assert main(argv) == 3
+        assert "error:" in capsys.readouterr().err
+    assert not report.exists()
+    assert not (tmp_path / "o").exists()

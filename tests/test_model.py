@@ -2,6 +2,8 @@
 positional encoding formula, TCN locality, and a sampled finite-difference
 gradient spot check through both routes."""
 
+import platform
+
 import numpy as np
 import pytest
 
@@ -239,3 +241,28 @@ def test_no_backward_writes_into_its_incoming_gradient():
     for name, g in plain.items():
         assert g is not None, name
         assert np.array_equal(guarded[name], g), name
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the malloc thresholds are set on glibc only")
+def test_warm_full_length_window_takes_no_page_faults():
+    # each 800x800 attention block is 5 MB; freed blocks must be reused
+    # from the heap, not returned to the kernel and faulted back in
+    import resource  # POSIX only, like the skip condition
+
+    model = Model(ModelConfig(d_model=16, n_heads=2, n_layers=1, ffn_dim=32,
+                              tcn_layers=3, tcn_channels=8, window_len=800),
+                  rng=np.random.default_rng(22))
+    x = np.random.default_rng(23).standard_normal((800, 6))
+
+    def forward_backward():
+        with ad.Tape() as tape:
+            loss = ad.sum_all(model.classify(x))
+        tape.backward(loss)
+
+    for step in (lambda: model.predict_labels(x), forward_backward):
+        step()  # warm-up
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        step()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 100, f"{faults} minor page faults"
