@@ -46,6 +46,12 @@ def _require_object(value, what: str) -> dict:
     return value
 
 
+def _is_count(value) -> bool:
+    """True for a JSON integer >= 0; JSON true and false are not ones."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= 0)
+
+
 # ---------------------------------------------------------------- datasets
 
 @dataclass
@@ -177,6 +183,10 @@ def read_dataset(dataset_dir, subjects=None) -> Dataset:
         entries = [e for e in entries if e["subject_id"] in subjects]
     recordings, profiles = [], []
     for entry in entries:
+        if not _is_count(entry["rows"]):
+            raise DataFormatError(f"{entry['file']}: manifest rows must be a "
+                                  f"non-negative integer, got "
+                                  f"{entry['rows']!r}")
         signal, labels = _read_subject_csv(dataset_dir / entry["file"],
                                            entry["rows"])
         segments = labels_to_segments(labels)
@@ -254,6 +264,15 @@ def load_checkpoint(path) -> Model:
     params = {}
     for name, block in doc["params"].items():
         _require_object(block, f"{path}: parameter {name}")
+        if not isinstance(block["shape"], list) \
+                or not all(map(_is_count, block["shape"])):
+            raise DataFormatError(f"{path}: parameter {name} shape must be a "
+                                  f"list of non-negative integers, got "
+                                  f"{block['shape']!r}")
+        if not isinstance(block["data"], str):
+            raise DataFormatError(f"{path}: parameter {name} data must be a "
+                                  f"base64 string, got "
+                                  f"{type(block['data']).__name__}")
         raw = base64.b64decode(block["data"])
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
         expected = int(np.prod(block["shape"])) if block["shape"] else 1

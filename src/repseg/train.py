@@ -7,12 +7,18 @@ batch, so the encoder is shared by construction. That loss is a sum over
 windows and routes, so each route is backpropagated as soon as its loss
 exists and its graph is freed before the next forward: a step holds one
 route's graph at a time, whatever the batch size. Leave-one-subject-out
-splits live here too.
+splits live here too. `predict` runs its windows on every CPU the process
+may use.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import signal
+import sys
 import time
+import traceback
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -336,13 +342,124 @@ def train_fold(samples: np.ndarray, labels: np.ndarray,
     return result
 
 
+def _blas_thread_control():
+    """(get, set) of the loaded OpenBLAS's thread count, or None.
+
+    The library is found in this process's memory map and asked through its
+    own entry points: `scipy_openblas_*_num_threads64_` in numpy 2.x wheels,
+    `openblas_*_num_threads` in other builds.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return None
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
+
+
+def _predict_windows(model: Model, samples: np.ndarray) -> np.ndarray:
+    return np.stack([model.predict_labels(samples[i])
+                     for i in range(samples.shape[0])])
+
+
+def _fork_share(model: Model, share: np.ndarray) -> tuple[int, int]:
+    """Fork a child that predicts `share` and writes its labels to a pipe as
+    raw int64 bytes; returns the child's pid and the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            labels = _predict_windows(model, share).astype(np.int64)
+            with open(write_fd, "wb") as out:
+                out.write(labels.tobytes())
+            code = 0
+        except Exception:
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _predict_forked(model: Model, shares: list[np.ndarray],
+                    get_threads, set_threads) -> np.ndarray:
+    """The caller predicts shares[0] while one forked child predicts each
+    other share, every process with one BLAS thread; labels in window
+    order. Every child is reaped, and killed first if the caller failed."""
+    threads = get_threads()
+    set_threads(1)
+    children = []  # (pid, read end of its pipe)
+    results = []
+    statuses = []
+    done = False
+    try:
+        for share in shares[1:]:
+            children.append(_fork_share(model, share))
+        labels = [_predict_windows(model, shares[0])]
+        for _, fd in children:
+            with open(fd, "rb", closefd=False) as src:
+                results.append(src.read())
+        done = True
+    finally:
+        for pid, fd in children:
+            os.close(fd)
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+        set_threads(threads)
+    for share, raw, status in zip(shares[1:], results, statuses):
+        code = os.waitstatus_to_exitcode(status)
+        shape = share.shape[:2]
+        if code != 0 or len(raw) != 8 * shape[0] * shape[1]:
+            raise RuntimeError(f"predict: the child for {shape[0]} windows "
+                               f"exited with status {code} after sending "
+                               f"{len(raw)} of {8 * shape[0] * shape[1]} "
+                               f"bytes")
+        labels.append(np.frombuffer(raw, dtype=np.int64).reshape(shape))
+    return np.concatenate(labels)
+
+
 def predict(model: Model, samples: np.ndarray) -> np.ndarray:
-    """Per-sample argmax labels for a stack of unmasked windows (W, T)."""
+    """Per-sample argmax labels for a stack of unmasked windows (W, T).
+
+    The windows are split into one contiguous share per CPU this process
+    may run on (`os.sched_getaffinity`). The caller predicts the first share
+    and a forked child each of the others, which inherits the model, so
+    nothing is pickled. While they run, every process uses one BLAS thread:
+    a second one buys little at these shapes, and two processes with two
+    BLAS threads each on two cores ran slower than one process alone.
+    With one CPU or one window, or without `os.fork` or a BLAS whose thread
+    count can be set, the caller predicts every window itself.
+    """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim == 2:
         samples = samples[None]
-    return np.stack([model.predict_labels(samples[i])
-                     for i in range(samples.shape[0])])
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+    n_shares = min(cpus, samples.shape[0])
+    blas = (_blas_thread_control()
+            if n_shares > 1 and hasattr(os, "fork") else None)
+    if blas is None:
+        return _predict_windows(model, samples)
+    return _predict_forked(model, np.array_split(samples, n_shares), *blas)
 
 
 def sample_accuracy(model: Model, samples: np.ndarray,

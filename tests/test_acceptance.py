@@ -3,11 +3,13 @@
 Each test prints a single bracketed PASS line (run with -s to see them)
 carrying the measured numbers next to their bounds. The heavy entries are
 the full-coordinate gradient check (~6 s) and the eight-subject
-cross-validated mask-ratio sweep (~6 min serial); the rest run in seconds.
+cross-validated mask-ratio sweep (~10 min serially, ~5 min on two
+processes); the rest run in seconds.
 """
 
 import json
 import math
+import os
 import time
 
 import jsonschema
@@ -248,7 +250,8 @@ def test_criterion_6_masked_training_benefit(tmp_path):
                      tcn_layers=5, tcn_channels=8)
     tc = TrainConfig(batch_size=16, epochs=12, learning_rate=1e-2, seed=0,
                      eta=500.0, patch_len=16)
-    sweep = mask_ratio_sweep(subject_windows, mc, tc, ratios=SWEEP_RATIOS)
+    sweep = mask_ratio_sweep(subject_windows, mc, tc, ratios=SWEEP_RATIOS,
+                             jobs=min(2, len(os.sched_getaffinity(0))))
     elapsed = time.perf_counter() - t0
 
     print("\n" + sweep.format_table())

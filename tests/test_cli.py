@@ -2,11 +2,13 @@
 end to end on a small dataset, exit codes, and report validity."""
 
 import json
+import os
 
 import jsonschema
 import numpy as np
 import pytest
 
+from repseg import train
 from repseg.cli import main
 from repseg.dataio import (REPORT_SCHEMA, _digest, load_checkpoint,
                            read_dataset, read_report, save_checkpoint,
@@ -360,6 +362,46 @@ def test_manifest_part_that_is_not_an_object_is_data_error(
     assert not report.exists()
 
 
+@pytest.mark.parametrize("field, value", [("shape", "ab"), ("shape", [None]),
+                                          ("data", 5), ("data", None)])
+def test_checkpoint_field_of_the_wrong_type_is_data_error(
+        workspace, tmp_path, capsys, field, value):
+    model = Model(ModelConfig(**CONFIG["model"]),
+                  rng=np.random.default_rng(0))
+    doc = json.loads(save_checkpoint(tmp_path / "good.json",
+                                     model).read_text())
+    doc["params"]["embed.w"][field] = value
+    doc["sha256"] = _digest({"model_config": doc["model_config"],
+                             "params": doc["params"]})
+    ckpt = tmp_path / "bad.json"
+    ckpt.write_text(json.dumps(doc))
+    for argv in (["evaluate", "--data", str(workspace / "data"),
+                  "--checkpoints", str(ckpt)],
+                 ["velocity", "--data", str(workspace / "data"),
+                  "--subject", "s00", "--checkpoint", str(ckpt)]):
+        report = tmp_path / f"{argv[0]}.json"
+        assert main(argv + ["--report", str(report)]) == 3
+        assert f"embed.w {field} must be" in capsys.readouterr().err
+        assert not report.exists()
+
+
+@pytest.mark.parametrize("rows", ["12", None, 1.5])
+def test_manifest_rows_of_the_wrong_type_is_data_error(
+        workspace, tmp_path, capsys, rows):
+    data = tmp_path / "data"
+    data.mkdir()
+    for src in (workspace / "data").iterdir():
+        (data / src.name).write_bytes(src.read_bytes())
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["subjects"][0]["rows"] = rows
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    report = tmp_path / "report.json"
+    assert main(["evaluate", "--data", str(data), "--oracle",
+                 "--report", str(report)]) == 3
+    assert "rows must be a non-negative integer" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_directory_given_as_input_file_is_data_error(workspace, tmp_path,
                                                      capsys):
     report = tmp_path / "report.json"
@@ -371,3 +413,39 @@ def test_directory_given_as_input_file_is_data_error(workspace, tmp_path,
         assert "error:" in capsys.readouterr().err
     assert not report.exists()
     assert not (tmp_path / "o").exists()
+
+
+def test_predict_split_leaves_evaluate_and_velocity_reports_unchanged(
+        workspace, tmp_path, monkeypatch):
+    """Reports of `evaluate` and `velocity --checkpoint` are the same whether
+    `predict` sees one CPU or two, apart from wall-clock times."""
+    model = Model(ModelConfig(**CONFIG["model"]),
+                  rng=np.random.default_rng(5))
+    ckpt = save_checkpoint(tmp_path / "ckpt.json", model)
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    reports = {}
+    for n_cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, n=n_cpus: set(range(n)))
+        for argv in (["evaluate", "--data", str(workspace / "data"),
+                      "--checkpoints", str(ckpt)],
+                     ["velocity", "--data", str(workspace / "data"),
+                      "--subject", "s00", "--checkpoint", str(ckpt),
+                      "--still-window", "0:100"]):
+            path = tmp_path / f"{argv[0]}_{n_cpus}.json"
+            assert main(argv + ["--report", str(path)]) == 0
+            report = read_report(path)
+            report.pop("wall_clock_s")
+            reports[argv[0], n_cpus] = report
+        if n_cpus == 1:
+            assert not forks
+    assert bool(forks) == (train._blas_thread_control() is not None)
+    assert reports["evaluate", 1] == reports["evaluate", 2]
+    assert reports["velocity", 1] == reports["velocity", 2]

@@ -94,6 +94,14 @@ def test_default_sweep_seeds():
     assert default_sweep_seeds(0.4) == [0]
 
 
+def test_mask_ratio_sweep_values_do_not_depend_on_jobs(tiny_windows):
+    runs = [mask_ratio_sweep(tiny_windows, MC, TC, ratios=(0.0, 0.5),
+                             seeds_for=lambda r: [0, 1], jobs=jobs)
+            for jobs in (1, 2)]
+    assert [r.per_seed for r in runs[0].rows] \
+        == [r.per_seed for r in runs[1].rows]
+
+
 def test_mask_ratio_sweep_table(tiny_windows):
     result = mask_ratio_sweep(
         tiny_windows, MC, TC, ratios=(0.0, 0.5),

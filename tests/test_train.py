@@ -2,12 +2,14 @@
 update, loss bookkeeping identities, shared-encoder gradient flow in both
 directions, and seed determinism."""
 
+import os
 import weakref
 
 import numpy as np
 import pytest
 
 from repseg import autodiff as ad
+from repseg import train
 from repseg.masking import (LossWeights, apply_mask, combined_loss,
                             cross_entropy, draw_mask, masked_mse, one_hot)
 from repseg.model import Model, ModelConfig, SignalWindow, init_params
@@ -341,3 +343,101 @@ def test_predict_shapes_and_determinism():
     single = predict(model, samples[0])
     assert single.shape == (1, labels.shape[1])
     assert np.array_equal(single[0], preds[0])
+
+
+def _split_across(monkeypatch, n_cpus) -> list:
+    """Make `predict` see `n_cpus` CPUs (None: the real affinity set);
+    returns a list that gains one entry per `os.fork` the caller makes."""
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    if n_cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n_cpus)))
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+can_split = pytest.mark.skipif(
+    not hasattr(os, "fork") or train._blas_thread_control() is None,
+    reason="needs os.fork and a BLAS whose thread count can be set")
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, None], ids=["1cpu", "2cpus",
+                                                     "affinity"])
+@pytest.mark.parametrize("n_windows", [1, 2, 3, 7])
+def test_predict_matches_the_per_window_loop(monkeypatch, n_windows, n_cpus):
+    samples, _ = tiny_dataset(n_windows=n_windows, seed=n_windows)
+    model = Model(tiny_model_config(), rng=np.random.default_rng(3))
+    expected = np.stack([model.predict_labels(w) for w in samples])
+    forks = _split_across(monkeypatch, n_cpus)
+    preds = predict(model, samples)
+    assert preds.dtype == expected.dtype
+    assert np.array_equal(preds, expected)
+    shares = min(n_cpus or len(os.sched_getaffinity(0)), n_windows)
+    splits = train._blas_thread_control() is not None
+    assert len(forks) == (shares - 1 if splits else 0)
+    _no_child_left()
+
+
+@pytest.fixture
+def blas_threads():
+    """BLAS set to three threads for the test; yields the count's getter."""
+    get_threads, set_threads = train._blas_thread_control()
+    original = get_threads()
+    set_threads(3)
+    yield get_threads
+    set_threads(original)
+
+
+@can_split
+def test_predict_runs_blas_on_one_thread_and_restores_the_count(
+        monkeypatch, blas_threads):
+    get_threads = blas_threads
+    seen = []
+    real = Model.predict_labels
+
+    def noting_threads(self, window):
+        seen.append(get_threads())
+        return real(self, window)
+
+    monkeypatch.setattr(Model, "predict_labels", noting_threads)
+    forks = _split_across(monkeypatch, 2)
+    samples, _ = tiny_dataset(n_windows=4)
+    predict(Model(tiny_model_config(), rng=np.random.default_rng(0)),
+            samples)
+    assert forks and seen == [1, 1]  # the caller's share: windows 0 and 1
+    assert get_threads() == 3
+
+
+@can_split
+@pytest.mark.parametrize("bad_window, error",
+                         [(2, RuntimeError), (0, ValueError)],
+                         ids=["in_a_child", "in_the_caller"])
+def test_a_failing_share_raises_in_the_caller_and_leaves_no_child(
+        monkeypatch, blas_threads, bad_window, error):
+    samples, _ = tiny_dataset(n_windows=3)
+    real = Model.predict_labels
+
+    def failing(self, window):
+        if np.array_equal(window, samples[bad_window]):
+            raise ValueError("window rejected")
+        return real(self, window)
+
+    monkeypatch.setattr(Model, "predict_labels", failing)
+    forks = _split_across(monkeypatch, 2)
+    with pytest.raises(error):
+        predict(Model(tiny_model_config(), rng=np.random.default_rng(0)),
+                samples)
+    assert forks
+    assert blas_threads() == 3
+    _no_child_left()
