@@ -49,7 +49,6 @@ __all__ = [
     "sub",
     "mul",
     "scale",
-    "neg",
     "matmul",
     "linear",
     "transpose",
@@ -113,27 +112,6 @@ class Tensor:
     def __repr__(self):
         return (f"Tensor(shape={self.data.shape}, requires_grad="
                 f"{self.requires_grad})")
-
-    # arithmetic sugar; all graph logic lives in the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 _next_uid = itertools.count().__next__
@@ -321,10 +299,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     return _make(a.data * c, (a,), lambda g: (g * c,))
-
-
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -95,13 +95,11 @@ def _build_configs(args) -> tuple[ModelConfig, TrainConfig]:
     problems = []
     model_config = train_config = None
     try:
-        model_config = ModelConfig.from_dict(model_over) if model_over \
-            else ModelConfig()
+        model_config = ModelConfig.from_dict(model_over)
     except (ValueError, TypeError) as exc:
         problems.append(f"model config: {exc}")
     try:
-        train_config = TrainConfig.from_dict(train_over) if train_over \
-            else TrainConfig()
+        train_config = TrainConfig.from_dict(train_over)
     except (ValueError, TypeError) as exc:
         problems.append(f"train config: {exc}")
     if problems:

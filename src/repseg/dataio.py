@@ -46,10 +46,14 @@ def _require_object(value, what: str) -> dict:
     return value
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer; JSON true and false are not ones."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_count(value) -> bool:
-    """True for a JSON integer >= 0; JSON true and false are not ones."""
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and value >= 0)
+    """True for a JSON integer >= 0."""
+    return _is_int(value) and value >= 0
 
 
 # ---------------------------------------------------------------- datasets
@@ -61,7 +65,6 @@ class Dataset:
     sample_rate: float
     seed: int
     plan: list[tuple[int, int]]
-    class_names: dict[int, str]
     recordings: list[Recording]
     profiles: list[SubjectProfile]
 
@@ -172,10 +175,29 @@ def read_dataset(dataset_dir, subjects=None) -> Dataset:
             or manifest.get("format_version") != DATASET_FORMAT:
         raise DataFormatError("not a dataset manifest (kind/format_version)")
     entries = manifest["subjects"]
-    if not isinstance(entries, list):
-        raise DataFormatError("manifest subjects must be a JSON array")
+    if not isinstance(entries, list) or not entries:
+        raise DataFormatError("manifest subjects must be a JSON array of at "
+                              "least one subject")
     for entry in entries:
         _require_object(entry, "a manifest subject entry")
+        for key in ("subject_id", "file"):
+            if not isinstance(entry[key], str):
+                raise DataFormatError(f"manifest subject {key} must be a "
+                                      f"string, got {entry[key]!r}")
+    sample_rate = manifest["sample_rate"]
+    if not (isinstance(sample_rate, (int, float))
+            and not isinstance(sample_rate, bool) and sample_rate > 0):
+        raise DataFormatError(f"manifest sample_rate must be a positive "
+                              f"number, got {sample_rate!r}")
+    if not _is_int(manifest["seed"]):
+        raise DataFormatError(f"manifest seed must be an integer, got "
+                              f"{manifest['seed']!r}")
+    plan = manifest["plan"]
+    if not isinstance(plan, list) or not all(
+            isinstance(bout, list) and len(bout) == 2
+            and all(map(_is_int, bout)) for bout in plan):
+        raise DataFormatError(f"manifest plan must be a list of [class, "
+                              f"repetitions] integer pairs, got {plan!r}")
     if subjects is not None:
         missing = set(subjects) - {e["subject_id"] for e in entries}
         if missing:
@@ -195,14 +217,13 @@ def read_dataset(dataset_dir, subjects=None) -> Dataset:
                 f"{entry['file']}: segment counts disagree with manifest")
         recordings.append(Recording(
             subject_id=entry["subject_id"], signal=signal, labels=labels,
-            segments=segments, sample_rate=float(manifest["sample_rate"])))
+            segments=segments, sample_rate=float(sample_rate)))
         profiles.append(SubjectProfile.from_dict(
             _require_object(entry["profile"], f"{entry['file']} profile")))
     return Dataset(
-        sample_rate=float(manifest["sample_rate"]),
-        seed=int(manifest["seed"]),
-        plan=[(int(c), int(n)) for c, n in manifest["plan"]],
-        class_names={int(k): v for k, v in manifest["class_names"].items()},
+        sample_rate=float(sample_rate),
+        seed=manifest["seed"],
+        plan=[(c, n) for c, n in plan],
         recordings=recordings,
         profiles=profiles,
     )
@@ -260,7 +281,10 @@ def load_checkpoint(path) -> Model:
                "params": _require_object(doc["params"], f"{path}: params")}
     if _digest(payload) != doc.get("sha256"):
         raise ChecksumError(f"{path}: payload does not match its checksum")
-    config = ModelConfig.from_dict(doc["model_config"])
+    try:
+        config = ModelConfig.from_dict(doc["model_config"])
+    except TypeError as exc:
+        raise DataFormatError(f"{path}: model_config: {exc}") from exc
     params = {}
     for name, block in doc["params"].items():
         _require_object(block, f"{path}: parameter {name}")

@@ -14,18 +14,16 @@ from .metrics import (ClassF1Report, ClassScore, confusion_matrix, count_loa,
                       labels_to_segments, sample_f1, segmental_iou_f1)
 from .model import Model, ModelConfig
 from .synth import windowize
-from .train import (Fold, FoldPlan, TrainConfig, make_losocv, predict,
-                    train_fold)
+from .train import Fold, TrainConfig, make_losocv, predict, train_fold
 
 SWEEP_RATIOS = (0.0, 0.2, 0.4, 0.6, 0.8, 0.9)
 
 
-def windows_by_subject(dataset: Dataset, window_len: int,
-                       stride: int | None = None) -> dict[str, tuple]:
+def windows_by_subject(dataset: Dataset, window_len: int) -> dict[str, tuple]:
     """Per subject: stacked (W, T, N) windows and (W, T) labels."""
     out = {}
     for rec in dataset.recordings:
-        pairs = windowize(rec, window_len, stride)
+        pairs = windowize(rec, window_len)
         samples = np.stack([w.samples for w, _ in pairs])
         labels = np.stack([lab for _, lab in pairs])
         out[rec.subject_id] = (samples, labels)
@@ -174,13 +172,12 @@ class BenchmarkResult:
 
 def losocv_benchmark(subject_windows: dict, model_config: ModelConfig,
                      train_config: TrainConfig, iou_threshold: float = 0.75,
-                     jobs: int = 1, plan: FoldPlan | None = None,
+                     jobs: int = 1,
                      return_params: bool = False) -> BenchmarkResult:
     """Train and score every leave-one-subject-out fold."""
-    folds = plan if plan is not None else make_losocv(list(subject_windows))
     payloads = [(subject_windows, f, model_config.to_dict(),
                  train_config.to_dict(), iou_threshold, return_params)
-                for f in folds]
+                for f in make_losocv(list(subject_windows))]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_fold_worker, payloads))

@@ -112,25 +112,17 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return enc
 
 
-def cross_entropy(probs: Tensor, onehot: np.ndarray,
-                  class_weights: np.ndarray | None = None) -> Tensor:
+def cross_entropy(probs: Tensor, onehot: np.ndarray) -> Tensor:
     """-(1/(T*C)) sum y * log(p), log clamped at LOG_EPS.
 
     Normalizes by T*C (not by T), so a uniform prediction over C classes
-    scores ln(C)/C regardless of window length. Optional class_weights
-    rescale each class's contribution; default is unweighted.
+    scores ln(C)/C regardless of window length.
     """
     t_len, n_classes = probs.shape
     if onehot.shape != (t_len, n_classes):
         raise ValueError(
             f"one-hot shape {onehot.shape} vs probs {probs.shape}")
-    weights = onehot
-    if class_weights is not None:
-        class_weights = np.asarray(class_weights, dtype=np.float64)
-        if class_weights.shape != (n_classes,):
-            raise ValueError(f"class_weights must be ({n_classes},)")
-        weights = onehot * class_weights[None, :]
-    picked = ad.mul(ad.log_clamped(probs, LOG_EPS), ad.constant(weights))
+    picked = ad.mul(ad.log_clamped(probs, LOG_EPS), ad.constant(onehot))
     return ad.scale(ad.sum_all(picked), -1.0 / (t_len * n_classes))
 
 

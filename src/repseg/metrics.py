@@ -251,12 +251,9 @@ def confusion_matrix(truth: np.ndarray, pred: np.ndarray, n_classes: int,
                      where=row_sum > 0)
 
 
-def count_segments(segments: list[Segment], class_id: int,
-                   min_duration: int = 0) -> int:
-    """Repetition count for a class; fragments shorter than min_duration
-    samples are dropped when the filter is enabled (default off)."""
-    return sum(1 for s in segments
-               if s.class_id == class_id and s.length >= min_duration)
+def count_segments(segments: list[Segment], class_id: int) -> int:
+    """Repetition count for a class: its segments, however short."""
+    return sum(1 for s in segments if s.class_id == class_id)
 
 
 @dataclass(frozen=True)
@@ -271,11 +268,10 @@ class LoaEntry:
 @dataclass
 class LoaReport:
     per_class: dict[int, LoaEntry]
-    ddof: int = 0
 
     def to_dict(self) -> dict:
         return {
-            "ddof": self.ddof,
+            "ddof": 0,  # population std
             "per_class": {
                 str(c): {
                     "mean_diff": e.mean_diff, "std_diff": e.std_diff,
@@ -287,13 +283,12 @@ class LoaReport:
 
 
 def count_loa(per_subject: list[tuple[list[Segment], list[Segment]]],
-              n_classes: int, ddof: int = 0,
-              min_duration: int = 0) -> LoaReport:
+              n_classes: int) -> LoaReport:
     """Limits of agreement on per-subject repetition counts.
 
     For each foreground class, difference = true - predicted per subject;
-    the interval is mean +/- 2 std (population std by default, ddof=1 for
-    the sample form). Needs at least two subjects.
+    the interval is mean +/- 2 std (population std). Needs at least two
+    subjects.
     """
     if len(per_subject) < 2:
         raise ValueError("count_loa needs >= 2 subjects")
@@ -301,11 +296,11 @@ def count_loa(per_subject: list[tuple[list[Segment], list[Segment]]],
     for c in range(1, n_classes):
         pairs = []
         for truth_segs, pred_segs in per_subject:
-            pairs.append((count_segments(truth_segs, c, min_duration),
-                          count_segments(pred_segs, c, min_duration)))
+            pairs.append((count_segments(truth_segs, c),
+                          count_segments(pred_segs, c)))
         diffs = np.array([t - p for t, p in pairs], dtype=np.float64)
         mean = float(diffs.mean())
-        std = float(diffs.std(ddof=ddof))
+        std = float(diffs.std())
         report[c] = LoaEntry(mean, std, mean - 2.0 * std, mean + 2.0 * std,
                              tuple(pairs))
-    return LoaReport(report, ddof=ddof)
+    return LoaReport(report)

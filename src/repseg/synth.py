@@ -47,6 +47,10 @@ N_CLASSES = 6
 # stand-to-sit repetitions in pairs, so both chair classes stay balanced
 DEFAULT_PLAN = [(1, 4), (2, 4), (3, 3), (4, 3)]
 
+SAMPLE_RATE = 100.0  # Hz
+LEAD_IN_S = 3.0  # background before the first bout
+REST_S = 2.0  # background after each bout
+
 AX, AY, AZ, GX, GY, GZ = range(6)
 
 
@@ -196,9 +200,7 @@ def sts_peak_velocity(amplitude: float, duration_s: float) -> float:
 
 
 def generate_recording(profile: SubjectProfile, plan: list[tuple[int, int]],
-                       seed: int, templates: list[ActivityTemplate] | None = None,
-                       sample_rate: float = 100.0, lead_in_s: float = 3.0,
-                       rest_s: float = 2.0) -> Recording:
+                       seed: int) -> Recording:
     """Deterministic labeled recording for one subject.
 
     The plan lists (class_id, repetitions) bouts. A class-4 bout alternates
@@ -209,7 +211,7 @@ def generate_recording(profile: SubjectProfile, plan: list[tuple[int, int]],
     if not plan:
         raise ValueError("plan is empty")
     rng = np.random.default_rng(seed)
-    by_class = {t.class_id: t for t in (templates or default_templates())}
+    by_class = {t.class_id: t for t in default_templates()}
 
     reps: list[int] = []  # class sequence, chair bouts expanded into pairs
     bouts: list[list[int]] = []
@@ -223,7 +225,7 @@ def generate_recording(profile: SubjectProfile, plan: list[tuple[int, int]],
         else:
             bouts.append([class_id] * count)
 
-    fs = sample_rate
+    fs = SAMPLE_RATE
     chunks: list[np.ndarray] = []
     label_chunks: list[np.ndarray] = []
 
@@ -232,7 +234,7 @@ def generate_recording(profile: SubjectProfile, plan: list[tuple[int, int]],
         chunks.append(block)
         label_chunks.append(np.zeros(n, dtype=np.int64))
 
-    background(int(round(lead_in_s * fs)))
+    background(int(round(LEAD_IN_S * fs)))
     for bout in bouts:
         for class_id in bout:
             tpl = by_class[class_id]
@@ -251,7 +253,7 @@ def generate_recording(profile: SubjectProfile, plan: list[tuple[int, int]],
                     profile.amp_scale.get(class_id, 1.0) * comp.evaluate(u)
             chunks.append(block)
             label_chunks.append(np.full(n, class_id, dtype=np.int64))
-        background(int(round(rest_s * fs)))
+        background(int(round(REST_S * fs)))
 
     signal = np.concatenate(chunks)
     labels = np.concatenate(label_chunks)
@@ -284,20 +286,18 @@ def make_cohort(n_subjects: int, plan: list[tuple[int, int]] | None = None,
     return recordings, profiles
 
 
-def windowize(rec: Recording, window_len: int,
-              stride: int | None = None) -> list[tuple[SignalWindow, np.ndarray]]:
-    """Non-overlapping by default; a tail shorter than one window is dropped."""
-    if stride is None:
-        stride = window_len
-    if stride < 1 or window_len < 1:
-        raise ValueError("window_len and stride must be positive")
+def windowize(rec: Recording,
+              window_len: int) -> list[tuple[SignalWindow, np.ndarray]]:
+    """Non-overlapping windows; a tail shorter than one window is dropped."""
+    if window_len < 1:
+        raise ValueError("window_len must be positive")
     length = rec.signal.shape[0]
     if length < window_len:
         raise ValueError(
             f"recording of {length} samples is shorter than one window "
             f"({window_len})")
     out = []
-    for start in range(0, length - window_len + 1, stride):
+    for start in range(0, length - window_len + 1, window_len):
         sl = slice(start, start + window_len)
         out.append((SignalWindow(rec.signal[sl].copy(), rec.sample_rate),
                     rec.labels[sl].copy()))

@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .masking import (LossWeights, apply_mask, combined_loss, cross_entropy,
                       draw_mask, masked_mse, one_hot)
-from .model import Model, ModelConfig, SignalWindow
+from .model import Model, ModelConfig, SignalWindow, check_field_types
 
 
 class TrainingDivergedError(RuntimeError):
@@ -58,8 +58,6 @@ class TrainConfig:
     mask_ratio: float = 0.8
     eta: float = 500.0
     patch_len: int = 40
-    early_stop_patience: int | None = None  # epochs; None disables
-    class_weighting: bool = False  # inverse-frequency CE weights when True
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -79,9 +77,6 @@ class TrainConfig:
             raise ValueError("eta must be >= 0")
         if self.patch_len < 1:
             raise ValueError("patch_len must be >= 1")
-        if self.early_stop_patience is not None \
-                and self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be >= 1 or None")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -92,6 +87,7 @@ class TrainConfig:
         extra = set(d) - known
         if extra:
             raise ValueError(f"unknown train-config fields: {sorted(extra)}")
+        check_field_types(cls, d)
         return cls(**d)
 
 
@@ -101,10 +97,7 @@ class Fold:
     train_subjects: tuple[str, ...]
 
 
-FoldPlan = list[Fold]
-
-
-def make_losocv(subject_ids) -> FoldPlan:
+def make_losocv(subject_ids) -> list[Fold]:
     """One fold per subject, held out in the given order."""
     ids = list(subject_ids)
     if len(ids) < 2:
@@ -170,7 +163,6 @@ class TrainResult:
     model: Model
     steps: list[StepRecord] = field(default_factory=list)
     epochs: list[EpochRecord] = field(default_factory=list)
-    stopped_early: bool = False
     wall_clock_s: float = 0.0
 
     def curves(self) -> dict:
@@ -181,16 +173,6 @@ class TrainResult:
             "ce": [e.ce for e in self.epochs],
             "mse": [e.mse for e in self.epochs],
         }
-
-
-def _inverse_frequency_weights(labels: np.ndarray,
-                               n_classes: int) -> np.ndarray:
-    # absent classes get weight 0 (they contribute no CE terms anyway)
-    counts = np.bincount(labels.reshape(-1), minlength=n_classes)
-    weights = np.zeros(n_classes)
-    present = counts > 0
-    weights[present] = labels.size / (present.sum() * counts[present])
-    return weights
 
 
 def _as_batches(order: np.ndarray, batch_size: int):
@@ -207,20 +189,9 @@ def _mean_of(terms: list[float]) -> float:
     return total * (1.0 / len(terms))
 
 
-def _validation_ce(model: Model, samples: np.ndarray, labels: np.ndarray,
-                   n_classes: int) -> float:
-    with ad.no_grad():
-        scores = [cross_entropy(model.classify(samples[i]),
-                                one_hot(labels[i], n_classes)).item()
-                  for i in range(samples.shape[0])]
-    return float(np.mean(scores))
-
-
 def train_fold(samples: np.ndarray, labels: np.ndarray,
                model_config: ModelConfig, config: TrainConfig,
-               params: dict[str, ad.Tensor] | None = None,
-               val_samples: np.ndarray | None = None,
-               val_labels: np.ndarray | None = None) -> TrainResult:
+               params: dict[str, ad.Tensor] | None = None) -> TrainResult:
     """Train on (W, T, N) windows with (W, T) integer labels.
 
     Each step: classification sees the unmasked window, reconstruction sees
@@ -231,9 +202,6 @@ def train_fold(samples: np.ndarray, labels: np.ndarray,
     skipped and only the classification loss trains the network. A step
     whose loss is not finite raises TrainingDivergedError before the update,
     with the gradients cleared.
-
-    Early stopping (optional) watches mean validation cross-entropy and
-    restores the best parameters seen.
     """
     samples = np.asarray(samples, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -248,9 +216,6 @@ def train_fold(samples: np.ndarray, labels: np.ndarray,
     if window_len % config.patch_len != 0:
         raise ValueError(f"window length {window_len} not divisible by "
                          f"patch_len {config.patch_len}")
-    use_validation = config.early_stop_patience is not None
-    if use_validation and (val_samples is None or val_labels is None):
-        raise ValueError("early stopping needs a validation slice")
 
     n_classes = model_config.n_classes
     rng = np.random.default_rng(config.seed)
@@ -258,16 +223,11 @@ def train_fold(samples: np.ndarray, labels: np.ndarray,
                   rng=None if params is not None else rng)
     optimizer = Adam(model.parameters(), config.learning_rate,
                      config.beta1, config.beta2, config.eps)
-    class_weights = (_inverse_frequency_weights(labels, n_classes)
-                     if config.class_weighting else None)
     onehots = [one_hot(labels[i], n_classes) for i in range(n_windows)]
     loss_weights = LossWeights(eta=config.eta)
     zero = ad.constant(np.zeros(()))
 
     result = TrainResult(model=model)
-    best_val = np.inf
-    best_params = None
-    stall = 0
     step_no = 0
     started = time.perf_counter()
 
@@ -289,7 +249,7 @@ def train_fold(samples: np.ndarray, labels: np.ndarray,
                     window = SignalWindow(samples[i])
                     ce_i = cross_entropy(
                         model.classify(window, training=True, rng=rng),
-                        onehots[i], class_weights)
+                        onehots[i])
                     tape.backward(combined_loss(ad.scale(ce_i, weight), zero,
                                                 loss_weights))
                     ce_terms.append(ce_i.item())
@@ -321,23 +281,6 @@ def train_fold(samples: np.ndarray, labels: np.ndarray,
             float(np.mean([s.loss for s in epoch_steps])),
             float(np.mean([s.ce for s in epoch_steps])),
             float(np.mean([s.mse for s in epoch_steps]))))
-
-        if use_validation:
-            score = _validation_ce(model, val_samples, val_labels, n_classes)
-            if score < best_val:
-                best_val = score
-                best_params = {k: p.data.copy()
-                               for k, p in model.parameters().items()}
-                stall = 0
-            else:
-                stall += 1
-                if stall >= config.early_stop_patience:
-                    result.stopped_early = True
-                    break
-
-    if best_params is not None:
-        for k, p in model.parameters().items():
-            p.data = best_params[k]
     result.wall_clock_s = time.perf_counter() - started
     return result
 

@@ -38,8 +38,11 @@ __all__ = [
 
 CHAIR_CLASSES = (4, 5)  # sit-to-stand, stand-to-sit
 
+CUTOFF_HZ = 20.0  # low-pass cutoff
+PAD_LEN = 9  # odd-reflection samples added at each end before filtering
 STILL_VAR_THRESHOLD = 0.5  # (m/s^2)^2
 MIN_STILL_SAMPLES = 50
+STILL_WIN_LEN = 100  # samples in an auto-selected still window
 
 
 class StillWindowError(ValueError):
@@ -55,15 +58,10 @@ class VelocityParams:
     g_prime: float
     still_window: tuple[int, int]
     dt: float = 0.01
-    lowpass_cutoff: float = 20.0
 
     def __post_init__(self):
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        nyquist = 0.5 / self.dt
-        if not 0.0 < self.lowpass_cutoff < nyquist:
-            raise ValueError(
-                f"cutoff {self.lowpass_cutoff} Hz outside (0, {nyquist}) Hz")
         s0, s1 = self.still_window
         if s1 <= s0 or s0 < 0:
             raise ValueError(f"bad still window {self.still_window}")
@@ -142,78 +140,70 @@ def _steady_state_zi(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.array([z1, z2])
 
 
-def lowpass(x: np.ndarray, cutoff_hz: float = 20.0, fs: float = 100.0,
-            pad_len: int | None = None) -> np.ndarray:
+def lowpass(x: np.ndarray, cutoff_hz: float = CUTOFF_HZ,
+            fs: float = 100.0) -> np.ndarray:
     """Zero-phase low-pass: filter forward, then backward, over an
     odd-reflection extension with steady-state initial conditions."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expects a 1-D channel, got shape {x.shape}")
     b, a = butter2_lowpass(cutoff_hz, fs)
-    if pad_len is None:
-        pad_len = 9
-    if x.size <= pad_len:
+    if x.size <= PAD_LEN:
         raise ValueError(f"signal too short to filter ({x.size} samples)")
     zi = _steady_state_zi(b, a)
 
-    head = 2.0 * x[0] - x[pad_len:0:-1]
-    tail = 2.0 * x[-1] - x[-2:-pad_len - 2:-1]
+    head = 2.0 * x[0] - x[PAD_LEN:0:-1]
+    tail = 2.0 * x[-1] - x[-2:-PAD_LEN - 2:-1]
     ext = np.concatenate([head, x, tail])
 
     fwd = _lfilter(b, a, ext, zi * ext[0])
     rev = _lfilter(b, a, fwd[::-1], zi * fwd[-1])
-    return rev[::-1][pad_len:pad_len + x.size]
+    return rev[::-1][PAD_LEN:PAD_LEN + x.size]
 
 
-def _validate_still(a_x: np.ndarray, window: tuple[int, int],
-                    var_threshold: float = STILL_VAR_THRESHOLD,
-                    min_samples: int = MIN_STILL_SAMPLES) -> np.ndarray:
+def _validate_still(a_x: np.ndarray, window: tuple[int, int]) -> np.ndarray:
     s0, s1 = window
-    if s0 < 0 or s1 > a_x.size or s1 - s0 < min_samples:
+    if s0 < 0 or s1 > a_x.size or s1 - s0 < MIN_STILL_SAMPLES:
         raise StillWindowError(
-            f"still window {window} shorter than {min_samples} samples or "
-            f"out of bounds for length {a_x.size}")
+            f"still window {window} shorter than {MIN_STILL_SAMPLES} samples "
+            f"or out of bounds for length {a_x.size}")
     segment = a_x[s0:s1]
     variance = float(segment.var())
-    if variance >= var_threshold:
+    if variance >= STILL_VAR_THRESHOLD:
         raise StillWindowError(
             f"window {window} too dynamic: variance {variance:.4f} >= "
-            f"{var_threshold}", variance=variance)
+            f"{STILL_VAR_THRESHOLD}", variance=variance)
     return segment
 
 
-def estimate_gravity(a_x: np.ndarray, still_window: tuple[int, int],
-                     var_threshold: float = STILL_VAR_THRESHOLD,
-                     min_samples: int = MIN_STILL_SAMPLES) -> float:
+def estimate_gravity(a_x: np.ndarray, still_window: tuple[int, int]) -> float:
     """g' = mean of the vertical channel over a validated still window."""
     a_x = np.asarray(a_x, dtype=np.float64)
-    return float(_validate_still(a_x, still_window, var_threshold,
-                                 min_samples).mean())
+    return float(_validate_still(a_x, still_window).mean())
 
 
-def find_still_window(a_x: np.ndarray, before: int | None = None,
-                      win_len: int = 100,
-                      var_threshold: float = STILL_VAR_THRESHOLD) -> tuple[int, int]:
-    """Lowest-variance stretch of win_len samples in a_x[:before].
+def find_still_window(a_x: np.ndarray,
+                      before: int | None = None) -> tuple[int, int]:
+    """Lowest-variance stretch of STILL_WIN_LEN samples in a_x[:before].
 
     Automates the manual initial-point selection; pass an explicit window
     to the callers instead to override."""
     a_x = np.asarray(a_x, dtype=np.float64)
     limit = a_x.size if before is None else min(before, a_x.size)
-    if limit < win_len:
-        raise StillWindowError(
-            f"no room for a {win_len}-sample still window before {limit}")
-    step = max(win_len // 4, 1)
+    if limit < STILL_WIN_LEN:
+        raise StillWindowError(f"no room for a {STILL_WIN_LEN}-sample still "
+                               f"window before {limit}")
+    step = STILL_WIN_LEN // 4
     best_var, best_start = np.inf, None
-    for start in range(0, limit - win_len + 1, step):
-        v = float(a_x[start:start + win_len].var())
+    for start in range(0, limit - STILL_WIN_LEN + 1, step):
+        v = float(a_x[start:start + STILL_WIN_LEN].var())
         if v < best_var:
             best_var, best_start = v, start
-    if best_var >= var_threshold:
+    if best_var >= STILL_VAR_THRESHOLD:
         raise StillWindowError(
             f"no still window found: best variance {best_var:.4f} >= "
-            f"{var_threshold}", variance=best_var)
-    return (best_start, best_start + win_len)
+            f"{STILL_VAR_THRESHOLD}", variance=best_var)
+    return (best_start, best_start + STILL_WIN_LEN)
 
 
 def integrate_velocity(a_x: np.ndarray, params: VelocityParams) -> np.ndarray:
@@ -249,8 +239,8 @@ def per_repetition_kinematics(velocity: np.ndarray, segments: list[Segment],
 
 def chair_rising_velocity(vertical: np.ndarray, segments: list[Segment],
                           sample_rate: float = 100.0,
-                          still_window: tuple[int, int] | None = None,
-                          cutoff_hz: float = 20.0) -> VelocityResult:
+                          still_window: tuple[int, int] | None = None
+                          ) -> VelocityResult:
     """Full pipeline over one recording's vertical channel.
 
     Chair segments are taken from `segments` (other classes are ignored);
@@ -263,9 +253,9 @@ def chair_rising_velocity(vertical: np.ndarray, segments: list[Segment],
         still_window = find_still_window(vertical, before=before)
 
     g_prime = estimate_gravity(vertical, still_window)
-    filtered = lowpass(vertical, cutoff_hz, fs=sample_rate)
+    filtered = lowpass(vertical, fs=sample_rate)
     params = VelocityParams(g_prime=g_prime, still_window=still_window,
-                            dt=1.0 / sample_rate, lowpass_cutoff=cutoff_hz)
+                            dt=1.0 / sample_rate)
     v = integrate_velocity(filtered, params)
     kin = per_repetition_kinematics(v, chair, dt=params.dt)
     return VelocityResult(velocity=v, g_prime=g_prime,

@@ -130,6 +130,37 @@ def test_train_config_section_that_is_not_an_object_is_data_error(
         assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("train", "batch_size", 2.5), ("train", "epochs", True),
+    ("train", "eta", True), ("model", "n_layers", 1.5)])
+def test_train_config_value_of_the_wrong_type_is_data_error(
+        workspace, tmp_path, capsys, section, field, value):
+    doc = {name: dict(CONFIG[name]) for name in CONFIG}
+    doc[section][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["train", "--data", str(workspace / "data"),
+                 "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field", ["early_stop_patience", "class_weighting"])
+def test_train_config_without_early_stopping_or_class_weights(
+        workspace, tmp_path, capsys, field):
+    doc = {"model": CONFIG["model"],
+           "train": {**CONFIG["train"], field: 3}}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["train", "--data", str(workspace / "data"),
+                 "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "unknown train-config fields" in err and field in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_evaluate_checkpoints(workspace, capsys):
     run = workspace / "run"
     ckpts = sorted(str(p) for p in run.glob("fold_*.json"))
@@ -400,6 +431,68 @@ def test_manifest_rows_of_the_wrong_type_is_data_error(
                  "--report", str(report)]) == 3
     assert "rows must be a non-negative integer" in capsys.readouterr().err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("field, value", [("d_model", "x"),
+                                          ("d_model", 8.0),
+                                          ("dropout", "0")])
+def test_checkpoint_model_config_of_the_wrong_type_is_data_error(
+        workspace, tmp_path, capsys, field, value):
+    model = Model(ModelConfig(**CONFIG["model"]),
+                  rng=np.random.default_rng(0))
+    doc = json.loads(save_checkpoint(tmp_path / "good.json",
+                                     model).read_text())
+    doc["model_config"][field] = value
+    doc["sha256"] = _digest({"model_config": doc["model_config"],
+                             "params": doc["params"]})
+    ckpt = tmp_path / "bad.json"
+    ckpt.write_text(json.dumps(doc))
+    for argv in (["evaluate", "--data", str(workspace / "data"),
+                  "--checkpoints", str(ckpt)],
+                 ["velocity", "--data", str(workspace / "data"),
+                  "--subject", "s00", "--checkpoint", str(ckpt)]):
+        report = tmp_path / f"{argv[0]}.json"
+        assert main(argv + ["--report", str(report)]) == 3
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not report.exists()
+
+
+@pytest.mark.parametrize("path, value, code", [
+    ("subjects", [], 3),
+    ("subjects.0.file", 5, 3),
+    ("subjects.0.file", None, 3),
+    ("subjects.0.subject_id", 5, 3),
+    ("subjects.0.subject_id", ["s00"], 3),
+    ("seed", None, 3),
+    ("seed", 1.5, 3),
+    ("seed", "11", 3),
+    ("plan", 5, 3),
+    ("plan", [1, 2], 3),
+    ("plan", [[1.5, 2]], 3),
+    ("plan", [[None, 2]], 3),
+    ("sample_rate", None, 3),
+    ("sample_rate", 0, 3),
+    ("class_names", ["background"], 0),  # read by nothing
+])
+def test_manifest_field_of_the_wrong_type(workspace, tmp_path, capsys, path,
+                                          value, code):
+    data = tmp_path / "data"
+    data.mkdir()
+    for src in (workspace / "data").iterdir():
+        (data / src.name).write_bytes(src.read_bytes())
+    manifest = json.loads((data / "manifest.json").read_text())
+    *parents, field = [int(k) if k.isdigit() else k for k in path.split(".")]
+    parent = manifest
+    for key in parents:
+        parent = parent[key]
+    parent[field] = value
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    report = tmp_path / "report.json"
+    assert main(["evaluate", "--data", str(data), "--oracle",
+                 "--report", str(report)]) == code
+    if code == 3:
+        assert f"{field} must be" in capsys.readouterr().err
+    assert report.exists() == (code == 0)
 
 
 def test_directory_given_as_input_file_is_data_error(workspace, tmp_path,

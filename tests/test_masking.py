@@ -103,22 +103,6 @@ def test_cross_entropy_clamps_zero_probability():
     assert abs(ce.item() - (-np.log(LOG_EPS)) / 6.0) < 1e-12
 
 
-def test_cross_entropy_class_weights():
-    rng = np.random.default_rng(4)
-    probs = random_probs(rng, 30, 6)
-    labels = np.full(30, 3)
-    onehot = one_hot(labels, 6)
-
-    base = cross_entropy(ad.constant(probs), onehot).item()
-    same = cross_entropy(ad.constant(probs), onehot,
-                         class_weights=np.ones(6)).item()
-    w = np.ones(6)
-    w[3] = 2.0
-    doubled = cross_entropy(ad.constant(probs), onehot, class_weights=w).item()
-    assert same == base
-    assert abs(doubled - 2.0 * base) < 1e-15
-
-
 def test_cross_entropy_gradient_through_softmax():
     rng = np.random.default_rng(5)
     logits = rng.standard_normal((8, 6))

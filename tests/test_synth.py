@@ -171,9 +171,6 @@ def test_windowize_counts_and_roundtrip():
     assert np.array_equal(rebuilt, rec.signal[:n])
     assert np.array_equal(labels, rec.labels[:n])
 
-    hop = windowize(rec, 800, stride=400)
-    assert len(hop) == (length - 800) // 400 + 1
-
     with pytest.raises(ValueError):
         windowize(rec, length + 1)
 

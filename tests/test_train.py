@@ -54,7 +54,7 @@ def test_train_config_validation_and_roundtrip():
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
     for bad in [dict(batch_size=0), dict(epochs=0), dict(learning_rate=0.0),
                 dict(beta1=1.0), dict(mask_ratio=1.5), dict(eta=-1.0),
-                dict(patch_len=0), dict(early_stop_patience=0)]:
+                dict(patch_len=0)]:
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     with pytest.raises(ValueError):
@@ -293,19 +293,6 @@ def test_a_window_graph_is_freed_before_the_next_window_forward(
     (before_0, _), (before_1, alive) = alive_at_forward
     assert before_0 == 0 and before_1 > 0
     assert alive == 0
-
-
-def test_early_stopping_restores_best_parameters():
-    samples, labels = tiny_dataset()
-    cfg = TrainConfig(batch_size=4, epochs=40, seed=6, mask_ratio=0.0,
-                      patch_len=10, learning_rate=0.5,  # noisy, won't improve
-                      early_stop_patience=3)
-    res = train_fold(samples, labels, tiny_model_config(dropout=0.0), cfg,
-                     val_samples=samples, val_labels=labels)
-    assert res.stopped_early
-    assert len(res.epochs) < 40
-    with pytest.raises(ValueError):
-        train_fold(samples, labels, tiny_model_config(), cfg)  # no val slice
 
 
 def test_validation_inputs():

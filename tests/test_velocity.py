@@ -159,8 +159,6 @@ def test_velocity_params_validation():
     with pytest.raises(ValueError):
         VelocityParams(9.6, (0, 100), dt=0.0)
     with pytest.raises(ValueError):
-        VelocityParams(9.6, (0, 100), lowpass_cutoff=50.0)
-    with pytest.raises(ValueError):
         VelocityParams(9.6, (100, 100))
 
 
