@@ -30,6 +30,10 @@ EXIT_OK = 0
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+# what `main` reports as a data error; DataFormatError and JSONDecodeError
+# are ValueErrors
+DATA_ERRORS = (OSError, KeyError, ValueError)
+
 
 def _parse_plan(text: str) -> list[tuple[int, int]]:
     """Plan syntax: 'class:count,class:count', e.g. '1:4,2:4,3:3,4:3'."""
@@ -225,7 +229,7 @@ def cmd_evaluate(args) -> int:
 def cmd_velocity(args) -> int:
     started = time.perf_counter()
     dataset = read_dataset(args.data, subjects=[args.subject])
-    rec, _ = dataset.by_subject(args.subject)
+    rec = dataset.by_subject(args.subject)
     report = _report_skeleton("velocity", args.seed, started)
     report["dataset"] = str(args.data)
     report["subject"] = args.subject
@@ -334,8 +338,7 @@ def main(argv=None) -> int:
     except (TrainingDivergedError, StillWindowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataFormatError, OSError, KeyError, json.JSONDecodeError,
-            ValueError) as exc:
+    except DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,6 +1,11 @@
 """File formats: per-subject CSV signal tables plus a JSON manifest for
 datasets, checksummed JSON checkpoints, and versioned JSON run reports.
 
+MANIFEST_SCHEMA and CHECKPOINT_SCHEMA are the one statement of each field's
+JSON type; the readers check a document against its schema, then what no
+schema can say (CSV rows, segment counts, checksum, parameter sizes), and
+raise DataFormatError. Nothing parses a manifest subject's `profile`.
+
 Plain text everywhere: the files are diff-friendly, language-neutral, and
 small at the scales this package targets. Floats are written with repr, which
 round-trips IEEE-754 doubles exactly; checkpoint parameter blocks are base64
@@ -13,6 +18,8 @@ import base64
 import csv
 import hashlib
 import json
+import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,43 +45,81 @@ class ChecksumError(DataFormatError):
     """A checkpoint payload does not match its recorded checksum."""
 
 
-def _require_object(value, what: str) -> dict:
-    """`value` if it is a JSON object, else a DataFormatError naming it."""
-    if not isinstance(value, dict):
-        raise DataFormatError(f"{what} must be a JSON object, got "
-                              f"{type(value).__name__}")
-    return value
+_JSON_TYPE = {dict: "object", list: "array", str: "string", bool: "boolean",
+              int: "integer", float: "number", type(None): "null"}
 
 
-def _is_int(value) -> bool:
-    """True for a JSON integer; JSON true and false are not ones."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _check(value, schema: dict, where: str, path: str = "") -> None:
+    """DataFormatError unless the parsed JSON `value` matches `schema`.
 
+    Reads the keywords MANIFEST_SCHEMA and CHECKPOINT_SCHEMA use: type,
+    const, required, properties, additionalProperties, items, minItems,
+    maxItems, minimum, exclusiveMinimum and pattern. Stricter than JSON
+    Schema in two ways: an integer is never a float such as 2.0, and true
+    and false are never numbers. A NaN, which Python's json module reads,
+    fails every bound. `where` names the file, `path` the field.
+    """
+    kind = _JSON_TYPE[type(value)]
 
-def _is_count(value) -> bool:
-    """True for a JSON integer >= 0."""
-    return _is_int(value) and value >= 0
+    def fail(what: str, got=kind):
+        raise DataFormatError(f"{where}{': ' if path else ''}{path} must be "
+                              f"{what}, got {got}")
+
+    if "const" in schema and (kind, value) != (
+            _JSON_TYPE[type(schema["const"])], schema["const"]):
+        fail(json.dumps(schema["const"]), json.dumps(value))
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types and kind not in types \
+            and not (kind == "integer" and "number" in types):
+        fail(" or ".join(f"a JSON {t}" for t in types))
+    if kind in ("integer", "number"):
+        if "minimum" in schema and not value >= schema["minimum"]:
+            fail(f">= {schema['minimum']}", value)
+        if "exclusiveMinimum" in schema \
+                and not value > schema["exclusiveMinimum"]:
+            fail(f"> {schema['exclusiveMinimum']}", value)
+    elif kind == "string":
+        if "pattern" in schema and not re.search(schema["pattern"], value):
+            fail(f"a string matching {schema['pattern']}", json.dumps(value))
+    elif kind == "array":
+        if len(value) < schema.get("minItems", 0):
+            fail(f"a JSON array of at least {schema['minItems']} items",
+                 f"{len(value)} items")
+        if len(value) > schema.get("maxItems", len(value)):
+            fail(f"a JSON array of at most {schema['maxItems']} items",
+                 f"{len(value)} items")
+        for i, item in enumerate(value):
+            _check(item, schema.get("items", {}), where, f"{path}[{i}]")
+    elif kind == "object":
+        for key in schema.get("required", []):
+            if key not in value:
+                raise DataFormatError(f"{where}: {path}{'.' if path else ''}"
+                                      f"{key} is missing")
+        for key, item in value.items():
+            _check(item, schema.get("properties", {}).get(
+                key, schema.get("additionalProperties", {})), where,
+                f"{path}.{key}" if path else key)
 
 
 # ---------------------------------------------------------------- datasets
 
 @dataclass
 class Dataset:
-    """A manifest-backed cohort: one recording and profile per subject."""
+    """A manifest-backed cohort: one recording per subject."""
 
     sample_rate: float
     seed: int
     plan: list[tuple[int, int]]
     recordings: list[Recording]
-    profiles: list[SubjectProfile]
 
     def subject_ids(self) -> list[str]:
         return [r.subject_id for r in self.recordings]
 
-    def by_subject(self, subject_id: str) -> tuple[Recording, SubjectProfile]:
-        for rec, prof in zip(self.recordings, self.profiles):
+    def by_subject(self, subject_id: str) -> Recording:
+        for rec in self.recordings:
             if rec.subject_id == subject_id:
-                return rec, prof
+                return rec
         raise KeyError(f"no subject {subject_id!r} in dataset")
 
 
@@ -170,45 +215,17 @@ def read_dataset(dataset_dir, subjects=None) -> Dataset:
     if not manifest_path.exists():
         raise DataFormatError(f"no manifest.json under {dataset_dir}")
     with open(manifest_path) as fh:
-        manifest = _require_object(json.load(fh), "manifest.json")
-    if manifest.get("kind") != "dataset" \
-            or manifest.get("format_version") != DATASET_FORMAT:
-        raise DataFormatError("not a dataset manifest (kind/format_version)")
+        manifest = json.load(fh)
+    _check(manifest, MANIFEST_SCHEMA, str(manifest_path))
     entries = manifest["subjects"]
-    if not isinstance(entries, list) or not entries:
-        raise DataFormatError("manifest subjects must be a JSON array of at "
-                              "least one subject")
-    for entry in entries:
-        _require_object(entry, "a manifest subject entry")
-        for key in ("subject_id", "file"):
-            if not isinstance(entry[key], str):
-                raise DataFormatError(f"manifest subject {key} must be a "
-                                      f"string, got {entry[key]!r}")
-    sample_rate = manifest["sample_rate"]
-    if not (isinstance(sample_rate, (int, float))
-            and not isinstance(sample_rate, bool) and sample_rate > 0):
-        raise DataFormatError(f"manifest sample_rate must be a positive "
-                              f"number, got {sample_rate!r}")
-    if not _is_int(manifest["seed"]):
-        raise DataFormatError(f"manifest seed must be an integer, got "
-                              f"{manifest['seed']!r}")
-    plan = manifest["plan"]
-    if not isinstance(plan, list) or not all(
-            isinstance(bout, list) and len(bout) == 2
-            and all(map(_is_int, bout)) for bout in plan):
-        raise DataFormatError(f"manifest plan must be a list of [class, "
-                              f"repetitions] integer pairs, got {plan!r}")
     if subjects is not None:
         missing = set(subjects) - {e["subject_id"] for e in entries}
         if missing:
             raise KeyError(f"no subjects {sorted(missing)} in dataset")
         entries = [e for e in entries if e["subject_id"] in subjects]
-    recordings, profiles = [], []
+    sample_rate = float(manifest["sample_rate"])
+    recordings = []
     for entry in entries:
-        if not _is_count(entry["rows"]):
-            raise DataFormatError(f"{entry['file']}: manifest rows must be a "
-                                  f"non-negative integer, got "
-                                  f"{entry['rows']!r}")
         signal, labels = _read_subject_csv(dataset_dir / entry["file"],
                                            entry["rows"])
         segments = labels_to_segments(labels)
@@ -217,15 +234,12 @@ def read_dataset(dataset_dir, subjects=None) -> Dataset:
                 f"{entry['file']}: segment counts disagree with manifest")
         recordings.append(Recording(
             subject_id=entry["subject_id"], signal=signal, labels=labels,
-            segments=segments, sample_rate=float(sample_rate)))
-        profiles.append(SubjectProfile.from_dict(
-            _require_object(entry["profile"], f"{entry['file']} profile")))
+            segments=segments, sample_rate=sample_rate))
     return Dataset(
-        sample_rate=float(sample_rate),
+        sample_rate=sample_rate,
         seed=manifest["seed"],
-        plan=[(c, n) for c, n in plan],
+        plan=[(c, n) for c, n in manifest["plan"]],
         recordings=recordings,
-        profiles=profiles,
     )
 
 
@@ -272,14 +286,10 @@ def save_checkpoint(path, model: Model) -> Path:
 
 def load_checkpoint(path) -> Model:
     with open(path) as fh:
-        doc = _require_object(json.load(fh), f"checkpoint {path}")
-    if doc.get("kind") != "checkpoint" \
-            or doc.get("format_version") != CHECKPOINT_FORMAT:
-        raise DataFormatError("not a checkpoint (kind/format_version)")
-    payload = {"model_config": _require_object(doc["model_config"],
-                                               f"{path}: model_config"),
-               "params": _require_object(doc["params"], f"{path}: params")}
-    if _digest(payload) != doc.get("sha256"):
+        doc = json.load(fh)
+    _check(doc, CHECKPOINT_SCHEMA, str(path))
+    if _digest({k: doc[k] for k in ("model_config", "params")}) \
+            != doc["sha256"]:
         raise ChecksumError(f"{path}: payload does not match its checksum")
     try:
         config = ModelConfig.from_dict(doc["model_config"])
@@ -287,20 +297,9 @@ def load_checkpoint(path) -> Model:
         raise DataFormatError(f"{path}: model_config: {exc}") from exc
     params = {}
     for name, block in doc["params"].items():
-        _require_object(block, f"{path}: parameter {name}")
-        if not isinstance(block["shape"], list) \
-                or not all(map(_is_count, block["shape"])):
-            raise DataFormatError(f"{path}: parameter {name} shape must be a "
-                                  f"list of non-negative integers, got "
-                                  f"{block['shape']!r}")
-        if not isinstance(block["data"], str):
-            raise DataFormatError(f"{path}: parameter {name} data must be a "
-                                  f"base64 string, got "
-                                  f"{type(block['data']).__name__}")
         raw = base64.b64decode(block["data"])
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-        expected = int(np.prod(block["shape"])) if block["shape"] else 1
-        if arr.size != expected:
+        if arr.size != math.prod(block["shape"]):
             raise DataFormatError(f"{path}: parameter {name} has {arr.size} "
                                   f"values for shape {block['shape']}")
         params[name] = ad.parameter(arr.reshape(block["shape"]))
@@ -342,8 +341,10 @@ def check_report_structure(report: dict):
         raise DataFormatError("not a run report (kind/format_version)")
 
 
-# JSON-Schema documents for the three file kinds. Runtime code performs only
-# the light checks above; the test suite validates instances against these.
+# JSON-Schema documents for the three file kinds. read_dataset and
+# load_checkpoint check every manifest and checkpoint against theirs with
+# `_check`; run reports get only check_report_structure at run time, and the
+# test suite validates them against REPORT_SCHEMA.
 
 _F1_REPORT_SCHEMA = {
     "type": "object",
@@ -527,7 +528,7 @@ MANIFEST_SCHEMA = {
     "properties": {
         "format_version": {"const": DATASET_FORMAT},
         "kind": {"const": "dataset"},
-        "sample_rate": {"type": "number"},
+        "sample_rate": {"type": "number", "exclusiveMinimum": 0},
         "seed": {"type": "integer"},
         "plan": {"type": "array",
                  "items": {"type": "array", "items": {"type": "integer"},
@@ -536,6 +537,7 @@ MANIFEST_SCHEMA = {
                         "additionalProperties": {"type": "string"}},
         "subjects": {
             "type": "array",
+            "minItems": 1,
             "items": {
                 "type": "object",
                 "required": ["subject_id", "file", "rows", "segment_counts",
@@ -543,7 +545,7 @@ MANIFEST_SCHEMA = {
                 "properties": {
                     "subject_id": {"type": "string"},
                     "file": {"type": "string"},
-                    "rows": {"type": "integer"},
+                    "rows": {"type": "integer", "minimum": 0},
                     "segment_counts": {
                         "type": "object",
                         "additionalProperties": {"type": "integer"}},
@@ -570,7 +572,8 @@ CHECKPOINT_SCHEMA = {
                 "type": "object",
                 "required": ["shape", "data"],
                 "properties": {
-                    "shape": {"type": "array", "items": {"type": "integer"}},
+                    "shape": {"type": "array",
+                              "items": {"type": "integer", "minimum": 0}},
                     "data": {"type": "string"},
                 },
             },

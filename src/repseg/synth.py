@@ -150,18 +150,6 @@ class SubjectProfile:
             "drift_amplitude": self.drift_amplitude,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SubjectProfile":
-        return cls(
-            subject_id=d["subject_id"],
-            amp_scale={int(c): v for c, v in d["amp_scale"].items()},
-            tempo_scale={int(c): v for c, v in d["tempo_scale"].items()},
-            gap_range_s=tuple(d["gap_range_s"]),
-            g_prime=d["g_prime"],
-            noise_sigma=d["noise_sigma"],
-            drift_amplitude=d["drift_amplitude"],
-        )
-
 
 @dataclass
 class Recording:

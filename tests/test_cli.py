@@ -3,6 +3,7 @@ end to end on a small dataset, exit codes, and report validity."""
 
 import json
 import os
+import re
 
 import jsonschema
 import numpy as np
@@ -14,7 +15,7 @@ from repseg.dataio import (REPORT_SCHEMA, _digest, load_checkpoint,
                            read_dataset, read_report, save_checkpoint,
                            write_dataset)
 from repseg.model import Model, ModelConfig
-from repseg.synth import CLASS_NAMES
+from repseg.synth import CLASS_NAMES, make_cohort
 
 CONFIG = {
     "model": dict(d_model=8, n_heads=2, n_layers=1, dropout=0.0,
@@ -186,7 +187,10 @@ def test_evaluate_matches_losocv_fold(workspace, tmp_path):
     checkpoint on the held-out subject alone score identically."""
     fold = read_report(workspace / "run" / "train_report.json")["folds"][0]
     dataset = read_dataset(workspace / "data")
-    rec, prof = dataset.by_subject(fold["test_subject"])
+    rec = dataset.by_subject(fold["test_subject"])
+    # the profiles the workspace fixture's `generate` wrote
+    _, profiles = make_cohort(3, plan=[(1, 2), (4, 1)], seed=11)
+    prof, = [p for p in profiles if p.subject_id == rec.subject_id]
     write_dataset(tmp_path / "held_out", [rec], [prof], dataset.seed,
                   dataset.plan)
     report_path = tmp_path / "eval.json"
@@ -351,21 +355,25 @@ def test_missing_dataset_is_data_error(tmp_path, capsys):
 def test_checkpoint_part_that_is_not_an_object_is_data_error(
         workspace, tmp_path, capsys, part):
     doc = json.loads((workspace / "run" / "fold_s00.json").read_text())
+    block = next(iter(doc["params"]))
     if part == "block":
-        doc["params"][next(iter(doc["params"]))] = 5
+        doc["params"][block] = 5
     elif part != "top":
         doc[part] = []
     doc["sha256"] = _digest({"model_config": doc["model_config"],
                              "params": doc["params"]})
     ckpt = tmp_path / "bad.json"
     ckpt.write_text(json.dumps([] if part == "top" else doc))
+    named = {"top": f"{ckpt}", "model_config": f"{ckpt}: model_config",
+             "params": f"{ckpt}: params",
+             "block": f"{ckpt}: params.{block}"}[part]
     for argv in (["evaluate", "--data", str(workspace / "data"),
                   "--checkpoints", str(ckpt)],
                  ["velocity", "--data", str(workspace / "data"),
                   "--subject", "s00", "--checkpoint", str(ckpt)]):
         report = tmp_path / f"{argv[0]}.json"
         assert main(argv + ["--report", str(report)]) == 3
-        assert "must be a JSON object" in capsys.readouterr().err
+        assert f"{named} must be a JSON object" in capsys.readouterr().err
         assert not report.exists()
 
 
@@ -389,7 +397,11 @@ def test_manifest_part_that_is_not_an_object_is_data_error(
     report = tmp_path / "report.json"
     assert main(["evaluate", "--data", str(data), "--oracle",
                  "--report", str(report)]) == 3
-    assert "must be a JSON" in capsys.readouterr().err
+    named = {"top": "manifest.json must be a JSON object",
+             "subjects": "subjects must be a JSON array",
+             "entry": "subjects[1] must be a JSON object",
+             "profile": "subjects[0].profile must be a JSON object"}[part]
+    assert named in capsys.readouterr().err
     assert not report.exists()
 
 
@@ -412,7 +424,8 @@ def test_checkpoint_field_of_the_wrong_type_is_data_error(
                   "--subject", "s00", "--checkpoint", str(ckpt)]):
         report = tmp_path / f"{argv[0]}.json"
         assert main(argv + ["--report", str(report)]) == 3
-        assert f"embed.w {field} must be" in capsys.readouterr().err
+        assert re.search(rf"params\.embed\.w\.{field}(\[\d+\])* must be",
+                         capsys.readouterr().err)
         assert not report.exists()
 
 
@@ -429,7 +442,7 @@ def test_manifest_rows_of_the_wrong_type_is_data_error(
     report = tmp_path / "report.json"
     assert main(["evaluate", "--data", str(data), "--oracle",
                  "--report", str(report)]) == 3
-    assert "rows must be a non-negative integer" in capsys.readouterr().err
+    assert "subjects[0].rows must be a JSON integer" in capsys.readouterr().err
     assert not report.exists()
 
 
@@ -472,7 +485,7 @@ def test_checkpoint_model_config_of_the_wrong_type_is_data_error(
     ("plan", [[None, 2]], 3),
     ("sample_rate", None, 3),
     ("sample_rate", 0, 3),
-    ("class_names", ["background"], 0),  # read by nothing
+    ("class_names", ["background"], 3),  # the schema says an object
 ])
 def test_manifest_field_of_the_wrong_type(workspace, tmp_path, capsys, path,
                                           value, code):
@@ -491,7 +504,10 @@ def test_manifest_field_of_the_wrong_type(workspace, tmp_path, capsys, path,
     assert main(["evaluate", "--data", str(data), "--oracle",
                  "--report", str(report)]) == code
     if code == 3:
-        assert f"{field} must be" in capsys.readouterr().err
+        # the walker names the field, or the first bad item within it
+        named = re.escape(re.sub(r"\.(\d+)", r"[\1]", path))
+        assert re.search(rf"{named}(\[\d+\])* must be",
+                         capsys.readouterr().err)
     assert report.exists() == (code == 0)
 
 
