@@ -59,6 +59,7 @@ __all__ = [
     "dilated_conv1d",
     "sum_all",
     "dropout",
+    "keep_mask",
     "split_cols",
     "concat_cols",
 ]
@@ -454,14 +455,26 @@ def sum_all(a: Tensor) -> Tensor:
                  lambda g: (np.full(shape, float(g)),))
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: zero with probability `rate`, scale the rest by
-    1/(1-rate) so the expectation is unchanged. Apply in training only."""
+def keep_mask(shape: tuple, rate: float,
+              rng: np.random.Generator) -> np.ndarray:
+    """Boolean dropout keep-mask: each entry True with probability 1-rate.
+
+    Drawn apart from the forward, so a caller can draw the masks of every
+    window in a fixed order and run only some of the forwards."""
+    return rng.random(shape) >= rate
+
+
+def dropout(a: Tensor, rate: float, keep: np.ndarray) -> Tensor:
+    """Inverted dropout through a `keep_mask`: zero where it is False, scale
+    the rest by 1/(1-rate) so the expectation is unchanged. Apply in
+    training only."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    if keep.shape != a.shape:
+        raise ValueError(f"keep-mask shape {keep.shape} vs input {a.shape}")
     if rate == 0.0:
         return a
-    keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
+    keep = keep / (1.0 - rate)
     return _make(a.data * keep, (a,), lambda g: (g * keep,))
 
 

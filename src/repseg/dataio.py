@@ -19,6 +19,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -183,11 +184,14 @@ def _read_subject_csv(path: Path, rows: int) -> tuple[np.ndarray, np.ndarray]:
         header = next(reader, None)
         if header != list(CSV_COLUMNS):
             raise DataFormatError(f"{path.name}: bad header {header}")
-        signal = np.empty((rows, 6))
-        labels = np.empty(rows, dtype=np.int64)
+        # a row takes at least 16 bytes ("0,0,0,0,0,0,0,0\n"), so the file
+        # bounds the arrays whatever `rows` the manifest claims
+        capacity = min(rows, os.fstat(fh.fileno()).st_size // 16)
+        signal = np.empty((capacity, 6))
+        labels = np.empty(capacity, dtype=np.int64)
         n = 0
         for row in reader:
-            if n >= rows:
+            if n >= capacity:
                 raise DataFormatError(f"{path.name}: more rows than manifest "
                                       f"declares ({rows})")
             if len(row) != len(CSV_COLUMNS) or int(row[0]) != n:

@@ -4,6 +4,8 @@ velocity paths and emit the plot-ready sweep table."""
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -14,7 +16,8 @@ from .metrics import (ClassF1Report, ClassScore, confusion_matrix, count_loa,
                       labels_to_segments, sample_f1, segmental_iou_f1)
 from .model import Model, ModelConfig
 from .synth import windowize
-from .train import Fold, TrainConfig, make_losocv, predict, train_fold
+from .train import (Fold, TrainConfig, _blas_thread_control, make_losocv,
+                    predict, train_fold)
 
 SWEEP_RATIOS = (0.0, 0.2, 0.4, 0.6, 0.8, 0.9)
 
@@ -142,6 +145,33 @@ def run_fold(subject_windows: dict, fold: Fold, model_config: ModelConfig,
     )
 
 
+def _pin_to_one_cpu(cpus: list[int], started) -> None:
+    """Pool initializer: run this worker on the CPU of `cpus` after the one
+    the previous worker took (`started` counts them). BLAS gets one thread
+    too, as a second one would only contend for the same CPU."""
+    with started.get_lock():
+        index = started.value
+        started.value += 1
+    os.sched_setaffinity(0, {cpus[index % len(cpus)]})
+    blas = _blas_thread_control()
+    if blas is not None:
+        _, set_threads = blas
+        set_threads(1)
+
+
+def _fold_pool(jobs: int) -> ProcessPoolExecutor:
+    """`jobs` worker processes, each pinned to a CPU of its own where the
+    platform allows. `train_fold` and `predict` inside a worker then see
+    one CPU and stay serial: split again, two workers would run four
+    processes on two cores, meeting at every training step."""
+    if not hasattr(os, "sched_setaffinity"):
+        return ProcessPoolExecutor(max_workers=jobs)
+    return ProcessPoolExecutor(
+        max_workers=jobs, initializer=_pin_to_one_cpu,
+        initargs=(sorted(os.sched_getaffinity(0)),
+                  multiprocessing.Value("i", 0)))
+
+
 def _fold_worker(payload):
     subject_windows, fold, mc, tc, iou, return_params = payload
     return run_fold(subject_windows, fold, ModelConfig.from_dict(mc),
@@ -179,7 +209,7 @@ def losocv_benchmark(subject_windows: dict, model_config: ModelConfig,
                  train_config.to_dict(), iou_threshold, return_params)
                 for f in make_losocv(list(subject_windows))]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with _fold_pool(jobs) as pool:
             outcomes = list(pool.map(_fold_worker, payloads))
     else:
         outcomes = [_fold_worker(p) for p in payloads]

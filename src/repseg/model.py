@@ -244,16 +244,25 @@ class Model:
             return window.samples
         return np.asarray(window, dtype=np.float64)
 
-    def _maybe_dropout(self, x: Tensor, training: bool,
-                       rng: np.random.Generator | None) -> Tensor:
-        if not training or self.config.dropout == 0.0:
-            return x
-        if rng is None:
-            raise ValueError("training-mode forward needs an rng for dropout")
-        return ad.dropout(x, self.config.dropout, rng)
+    def dropout_keep(self, t_len: int,
+                     rng: np.random.Generator) -> list[np.ndarray] | None:
+        """Keep-masks for one training forward of a `t_len`-sample window,
+        one per dropout site in forward order (each layer's attention, then
+        its FFN); None when the dropout rate is 0, which draws nothing."""
+        rate = self.config.dropout
+        if rate == 0.0:
+            return None
+        shape = (t_len, self.config.d_model)
+        return [ad.keep_mask(shape, rate, rng)
+                for _ in range(2 * self.config.n_layers)]
 
-    def _attention(self, x: Tensor, layer: int, training: bool,
-                   rng: np.random.Generator | None) -> Tensor:
+    def _dropout(self, x: Tensor, keep: np.ndarray | None) -> Tensor:
+        if keep is None:
+            return x
+        return ad.dropout(x, self.config.dropout, keep)
+
+    def _attention(self, x: Tensor, layer: int,
+                   keep: np.ndarray | None = None) -> Tensor:
         p = self.params
         pre = f"enc{layer}.attn"
         q = ad.linear(x, p[f"{pre}.wq"], p[f"{pre}.bq"])
@@ -272,34 +281,42 @@ class Model:
             outs.append(ad.matmul(attn, hv))
         merged = ad.concat_cols(outs)
         out = ad.linear(merged, p[f"{pre}.wo"], p[f"{pre}.bo"])
-        return self._maybe_dropout(out, training, rng)
+        return self._dropout(out, keep)
 
-    def _ffn(self, x: Tensor, layer: int, training: bool,
-             rng: np.random.Generator | None) -> Tensor:
+    def _ffn(self, x: Tensor, layer: int,
+             keep: np.ndarray | None = None) -> Tensor:
         p = self.params
         pre = f"enc{layer}.ffn"
         h = ad.relu(ad.linear(x, p[f"{pre}.w1"], p[f"{pre}.b1"]))
         out = ad.linear(h, p[f"{pre}.w2"], p[f"{pre}.b2"])
-        return self._maybe_dropout(out, training, rng)
+        return self._dropout(out, keep)
 
-    def encode(self, window, training: bool = False,
-               rng: np.random.Generator | None = None) -> Tensor:
-        """Embed + positional encoding + pre-norm residual encoder stack."""
+    def encode(self, window, keep: list[np.ndarray] | None = None) -> Tensor:
+        """Embed + positional encoding + pre-norm residual encoder stack.
+
+        `keep` holds the training forward's `dropout_keep` masks; None runs
+        without dropout, as evaluation does."""
         samples = self._samples(window)
         if samples.shape[1] != self.config.n_channels:
             raise ValueError(
                 f"window has {samples.shape[1]} channels, config expects "
                 f"{self.config.n_channels}")
+        n_layers = self.config.n_layers
+        if keep is None:
+            keep = [None] * (2 * n_layers)
+        elif len(keep) != 2 * n_layers:
+            raise ValueError(f"{len(keep)} keep-masks for {2 * n_layers} "
+                             f"dropout sites")
         x = ad.constant(samples)
         h = ad.add(ad.linear(x, self.params["embed.w"],
                              self.params["embed.b"]),
                    self._pe(samples.shape[0]))
-        for i in range(self.config.n_layers):
+        for i in range(n_layers):
             p = self.params
             a = ad.layer_norm(h, p[f"enc{i}.ln1.g"], p[f"enc{i}.ln1.b"])
-            h = ad.add(h, self._attention(a, i, training, rng))
+            h = ad.add(h, self._attention(a, i, keep[2 * i]))
             f = ad.layer_norm(h, p[f"enc{i}.ln2.g"], p[f"enc{i}.ln2.b"])
-            h = ad.add(h, self._ffn(f, i, training, rng))
+            h = ad.add(h, self._ffn(f, i, keep[2 * i + 1]))
         return h
 
     def tcn_logits(self, features: Tensor) -> Tensor:
@@ -316,16 +333,16 @@ class Model:
             h = ad.add(h, c)
         return ad.linear(h, p["tcn_out.w"], p["tcn_out.b"])
 
-    def classify(self, window, training: bool = False,
-                 rng: np.random.Generator | None = None) -> Tensor:
+    def classify(self, window,
+                 keep: list[np.ndarray] | None = None) -> Tensor:
         """Per-sample class probabilities (T, C); rows sum to 1."""
-        feats = self.encode(window, training, rng)
+        feats = self.encode(window, keep)
         return ad.softmax_rows(self.tcn_logits(feats))
 
-    def reconstruct(self, window, training: bool = False,
-                    rng: np.random.Generator | None = None) -> Tensor:
+    def reconstruct(self, window,
+                    keep: list[np.ndarray] | None = None) -> Tensor:
         """Signal estimate (T, N) from the shared encoder features."""
-        feats = self.encode(window, training, rng)
+        feats = self.encode(window, keep)
         p = self.params
         h = ad.relu(ad.linear(feats, p["recon.w1"], p["recon.b1"]))
         return ad.linear(h, p["recon.w2"], p["recon.b2"])
@@ -333,5 +350,5 @@ class Model:
     def predict_labels(self, window) -> np.ndarray:
         """Argmax class per sample, eval mode, no graph recording."""
         with ad.no_grad():
-            probs = self.classify(window, training=False)
+            probs = self.classify(window)
         return np.argmax(probs.data, axis=1)

@@ -20,6 +20,7 @@ from repseg.autodiff import (
     constant,
     dilated_conv1d,
     dropout,
+    keep_mask,
     layer_norm,
     linear,
     log_clamped,
@@ -411,20 +412,24 @@ def test_no_grad_suppresses_recording():
 def test_dropout_inverted_scaling():
     rng = np.random.default_rng(12)
     x = parameter(np.ones((200, 50)))
+    keep = keep_mask(x.shape, 0.3, rng)
     with Tape() as tape:
-        y = dropout(x, 0.3, rng)
+        y = dropout(x, 0.3, keep)
         loss = sum_all(y)
     tape.backward(loss)
 
     kept = y.data != 0.0
+    assert np.array_equal(kept, keep)
     assert np.allclose(y.data[kept], 1.0 / 0.7)
     assert abs(kept.mean() - 0.7) < 0.02
     # gradient is the same inverted mask
     assert np.allclose(x.grad[kept], 1.0 / 0.7)
     assert np.all(x.grad[~kept] == 0.0)
 
-    z = dropout(x, 0.0, rng)
+    z = dropout(x, 0.0, keep_mask(x.shape, 0.0, rng))
     assert z is x
+    with pytest.raises(ValueError):
+        dropout(x, 0.3, keep[:-1])
 
 
 def test_float64_and_contiguity():

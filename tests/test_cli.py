@@ -446,6 +446,26 @@ def test_manifest_rows_of_the_wrong_type_is_data_error(
     assert not report.exists()
 
 
+def test_manifest_rows_beyond_the_file_is_data_error_without_allocating(
+        workspace, tmp_path, capsys):
+    # rows is parsed before it is trusted: 10**12 rows of six float64s
+    # would be 43.7 TiB
+    data = tmp_path / "data"
+    data.mkdir()
+    for src in (workspace / "data").iterdir():
+        (data / src.name).write_bytes(src.read_bytes())
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["subjects"][0]["rows"] = 10 ** 12
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    report = tmp_path / "report.json"
+    assert main(["evaluate", "--data", str(data), "--oracle",
+                 "--report", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "manifest says 1000000000000" in err
+    assert "MemoryError" not in err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("field, value", [("d_model", "x"),
                                           ("d_model", 8.0),
                                           ("dropout", "0")])

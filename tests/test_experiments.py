@@ -1,9 +1,13 @@
 """Benchmark plumbing: windowing per subject, fold leakage guard, a tiny
 end-to-end leave-one-subject-out run, and the sweep table layout."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 
+from repseg import experiments
 from repseg.dataio import write_dataset, read_dataset
 from repseg.experiments import (
     default_sweep_seeds,
@@ -100,6 +104,25 @@ def test_mask_ratio_sweep_values_do_not_depend_on_jobs(tiny_windows):
             for jobs in (1, 2)]
     assert [r.per_seed for r in runs[0].rows] \
         == [r.per_seed for r in runs[1].rows]
+
+
+def _worker_cpus(_):
+    time.sleep(0.1)  # long enough that every worker takes a task
+    return os.getpid(), os.sched_getaffinity(0)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="CPU affinity is a Linux call")
+def test_each_fold_pool_worker_runs_on_one_cpu_of_its_own():
+    cpus = os.sched_getaffinity(0)
+    with experiments._fold_pool(2) as pool:
+        seen = dict(pool.map(_worker_cpus, range(6)))
+    assert all(len(worker) == 1 and worker <= cpus
+               for worker in seen.values())
+    if len(cpus) >= 2:
+        assert len(seen) == 2
+        assert len(set.union(*seen.values())) == 2
+    assert os.sched_getaffinity(0) == cpus  # the caller is not pinned
 
 
 def test_mask_ratio_sweep_table(tiny_windows):

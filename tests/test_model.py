@@ -78,7 +78,7 @@ def test_attention_matches_manual_numpy():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((12, cfg.d_model))
 
-    got = model._attention(ad.constant(x), 0, training=False, rng=None).data
+    got = model._attention(ad.constant(x), 0).data
 
     p = {k: v.data for k, v in model.params.items()}
     q = x @ p["enc0.attn.wq"] + p["enc0.attn.bq"]
@@ -163,11 +163,14 @@ def test_param_init_deterministic_and_forward_repeatable():
 def test_dropout_only_in_training():
     model = tiny_model(seed=13)
     x = np.random.default_rng(14).standard_normal((20, 6))
-    t1 = model.classify(x, training=True, rng=np.random.default_rng(1)).data
-    t2 = model.classify(x, training=True, rng=np.random.default_rng(2)).data
+    keeps = [model.dropout_keep(20, np.random.default_rng(s)) for s in (1, 2)]
+    t1, t2 = (model.classify(x, keep).data for keep in keeps)
     assert not np.array_equal(t1, t2)
+    assert np.array_equal(model.classify(x).data, model.classify(x).data)
     with pytest.raises(ValueError):
-        model.classify(x, training=True)  # rng required when dropout > 0
+        model.classify(x, keeps[0][1:])  # one keep-mask per dropout site
+    assert tiny_model(seed=13, dropout=0.0).dropout_keep(
+        20, np.random.default_rng(1)) is None
 
 
 def test_params_layout_validation():
@@ -230,10 +233,10 @@ def test_no_backward_writes_into_its_incoming_gradient():
         model = tiny_model(seed=20)
         rng = np.random.default_rng(21)
         with tape_cls() as tape:
-            ce = cross_entropy(model.classify(x, training=True, rng=rng),
+            ce = cross_entropy(model.classify(x, model.dropout_keep(40, rng)),
                                one_hot(labels, TINY_CLASSES))
             recon = model.reconstruct(apply_mask(SignalWindow(x), spec),
-                                      training=True, rng=rng)
+                                      model.dropout_keep(40, rng))
             loss = combined_loss(ce, masked_mse(x, recon, spec.sample_mask()))
         tape.backward(loss)
         grads.append({k: p.grad for k, p in model.params.items()})

@@ -46,6 +46,35 @@ def tiny_dataset(n_windows=4, t_len=40, n_channels=6, seed=0):
     return samples, labels
 
 
+def _split_across(monkeypatch, n_cpus) -> list:
+    """Make `predict` and `train_fold` see `n_cpus` CPUs (None: the real
+    affinity set); returns a list that gains one entry per `os.fork` the
+    caller makes."""
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    if n_cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n_cpus)))
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+SPLITS = hasattr(os, "fork") and train._blas_thread_control() is not None
+can_split = pytest.mark.skipif(
+    not SPLITS, reason="needs os.fork and a BLAS whose thread count can be "
+                       "set")
+
+
 def test_train_config_validation_and_roundtrip():
     cfg = TrainConfig(epochs=3, seed=7)
     assert cfg.batch_size == 16
@@ -222,7 +251,7 @@ def _tensor_mean(terms):
     return ad.scale(total, 1.0 / len(terms))
 
 
-def test_one_step_matches_a_single_tape_batch_loss(monkeypatch):
+def _check_one_step_matches_a_single_tape_batch_loss(monkeypatch, n_cpus):
     # the per-route backwards of a step must sum to the gradient of the
     # batch loss built whole on one tape and backwarded once
     samples, labels = tiny_dataset(n_windows=3)
@@ -234,9 +263,11 @@ def test_one_step_matches_a_single_tape_batch_loss(monkeypatch):
     grads = {}
     monkeypatch.setattr(Adam, "step", lambda opt: grads.update(
         {k: p.grad.copy() for k, p in opt.params.items()}))
+    forks = _split_across(monkeypatch, n_cpus)
     res = train_fold(samples, labels, mc, cfg,
                      params={k: ad.parameter(v.copy())
                              for k, v in start.items()})
+    assert len(forks) == (n_cpus - 1 if SPLITS else 0)
 
     model = Model(mc, params={k: ad.parameter(v.copy())
                               for k, v in start.items()})
@@ -246,12 +277,12 @@ def test_one_step_matches_a_single_tape_batch_loss(monkeypatch):
         for i in rng.permutation(samples.shape[0]):
             window = SignalWindow(samples[i])
             ce_terms.append(cross_entropy(
-                model.classify(window, training=True, rng=rng),
+                model.classify(window, model.dropout_keep(40, rng)),
                 one_hot(labels[i], mc.n_classes)))
             spec = draw_mask(*samples.shape[1:], cfg.patch_len,
                              cfg.mask_ratio, rng)
             recon = model.reconstruct(apply_mask(window, spec),
-                                      training=True, rng=rng)
+                                      model.dropout_keep(40, rng))
             mse_terms.append(masked_mse(samples[i], recon,
                                         spec.sample_mask()))
         ce, mse = _tensor_mean(ce_terms), _tensor_mean(mse_terms)
@@ -266,13 +297,22 @@ def test_one_step_matches_a_single_tape_batch_loss(monkeypatch):
                                    err_msg=k)
 
 
-def test_a_window_graph_is_freed_before_the_next_window_forward(
-        monkeypatch):
-    # every softmax output of window 0 (attention blocks of both routes and
-    # the class probabilities) must be gone when window 1's forward starts
-    samples, labels = tiny_dataset(n_windows=2)
-    cfg = TrainConfig(batch_size=2, epochs=1, seed=3, mask_ratio=0.5,
-                      patch_len=10)
+def test_one_step_matches_a_single_tape_batch_loss(monkeypatch):
+    _check_one_step_matches_a_single_tape_batch_loss(monkeypatch, 1)
+
+
+def test_a_split_step_matches_a_single_tape_batch_loss(monkeypatch):
+    # the caller computes windows 0 and 1, the worker window 2
+    _check_one_step_matches_a_single_tape_batch_loss(monkeypatch, 2)
+
+
+def _forwards_after_a_freed_window(monkeypatch, n_windows, n_cpus):
+    """Train one step of `n_windows` windows on `n_cpus` CPUs; per
+    classification forward in this process, the softmax outputs made
+    before it and how many of them are still alive."""
+    samples, labels = tiny_dataset(n_windows=n_windows)
+    cfg = TrainConfig(batch_size=n_windows, epochs=1, seed=3,
+                      mask_ratio=0.5, patch_len=10)
     refs = []
     alive_at_forward = []
     softmax, classify = ad.softmax_rows, Model.classify
@@ -289,8 +329,29 @@ def test_a_window_graph_is_freed_before_the_next_window_forward(
 
     monkeypatch.setattr(ad, "softmax_rows", tracked_softmax)
     monkeypatch.setattr(Model, "classify", tracked_classify)
+    forks = _split_across(monkeypatch, n_cpus)
     train_fold(samples, labels, tiny_model_config(), cfg)
-    (before_0, _), (before_1, alive) = alive_at_forward
+    assert len(forks) == (n_cpus - 1 if SPLITS else 0)
+    return alive_at_forward
+
+
+def test_a_window_graph_is_freed_before_the_next_window_forward(
+        monkeypatch):
+    # every softmax output of window 0 (attention blocks of both routes and
+    # the class probabilities) must be gone when window 1's forward starts
+    (before_0, _), (before_1, alive) = _forwards_after_a_freed_window(
+        monkeypatch, n_windows=2, n_cpus=1)
+    assert before_0 == 0 and before_1 > 0
+    assert alive == 0
+
+
+@can_split
+def test_a_window_graph_is_freed_before_the_callers_next_forward_when_split(
+        monkeypatch):
+    # of four windows the caller computes two; the second forward must
+    # find nothing of the first window's graph alive
+    (before_0, _), (before_1, alive) = _forwards_after_a_freed_window(
+        monkeypatch, n_windows=4, n_cpus=2)
     assert before_0 == 0 and before_1 > 0
     assert alive == 0
 
@@ -332,33 +393,6 @@ def test_predict_shapes_and_determinism():
     assert np.array_equal(single[0], preds[0])
 
 
-def _split_across(monkeypatch, n_cpus) -> list:
-    """Make `predict` see `n_cpus` CPUs (None: the real affinity set);
-    returns a list that gains one entry per `os.fork` the caller makes."""
-    forks = []
-    real_fork = os.fork
-
-    def counted_fork():
-        forks.append(1)
-        return real_fork()
-
-    if n_cpus is not None:
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(n_cpus)))
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return forks
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-can_split = pytest.mark.skipif(
-    not hasattr(os, "fork") or train._blas_thread_control() is None,
-    reason="needs os.fork and a BLAS whose thread count can be set")
-
-
 @pytest.mark.parametrize("n_cpus", [1, 2, None], ids=["1cpu", "2cpus",
                                                      "affinity"])
 @pytest.mark.parametrize("n_windows", [1, 2, 3, 7])
@@ -371,8 +405,7 @@ def test_predict_matches_the_per_window_loop(monkeypatch, n_windows, n_cpus):
     assert preds.dtype == expected.dtype
     assert np.array_equal(preds, expected)
     shares = min(n_cpus or len(os.sched_getaffinity(0)), n_windows)
-    splits = train._blas_thread_control() is not None
-    assert len(forks) == (shares - 1 if splits else 0)
+    assert len(forks) == (shares - 1 if SPLITS else 0)
     _no_child_left()
 
 
@@ -428,3 +461,132 @@ def test_a_failing_share_raises_in_the_caller_and_leaves_no_child(
     assert forks
     assert blas_threads() == 3
     _no_child_left()
+
+
+@pytest.fixture
+def one_blas_thread():
+    """BLAS set to one thread for the test, as the split runs it."""
+    get_threads, set_threads = train._blas_thread_control()
+    original = get_threads()
+    set_threads(1)
+    yield
+    set_threads(original)
+
+
+@can_split
+def test_split_training_equals_the_serial_loop(monkeypatch, one_blas_thread):
+    # 7 windows in batches of 4 over 2 epochs: steps of 4, 3, 4 and 3
+    # windows, so the caller computes 2 of each and the worker 2 or 1
+    samples, labels = tiny_dataset(n_windows=7)
+    cfg = TrainConfig(batch_size=4, epochs=2, seed=6, mask_ratio=0.5,
+                      patch_len=10)
+    results = {}
+    for n_cpus in (1, 2):
+        forks = _split_across(monkeypatch, n_cpus)
+        results[n_cpus] = train_fold(samples, labels, tiny_model_config(),
+                                     cfg)
+        assert len(forks) == n_cpus - 1
+        _no_child_left()
+    serial, split = results[1], results[2]
+    assert len(serial.steps) == 4
+    assert split.steps == serial.steps
+    assert split.epochs == serial.epochs
+    for k, p in serial.model.parameters().items():
+        assert np.array_equal(split.model.parameters()[k].data, p.data), k
+
+
+def test_batches_of_one_window_train_serially(monkeypatch):
+    samples, labels = tiny_dataset(n_windows=3)
+    forks = _split_across(monkeypatch, 2)
+    cfg = TrainConfig(batch_size=1, epochs=1, seed=2, patch_len=10)
+    assert len(train_fold(samples, labels, tiny_model_config(),
+                          cfg).steps) == 3
+    one_window = TrainConfig(batch_size=4, epochs=2, seed=2, patch_len=10)
+    assert len(train_fold(samples[:1], labels[:1], tiny_model_config(),
+                          one_window).steps) == 2
+    assert not forks
+
+
+@can_split
+def test_a_nan_in_the_workers_share_diverges_as_the_serial_loop_does(
+        monkeypatch):
+    samples, labels = tiny_dataset()
+    mc = tiny_model_config()
+    cfg = TrainConfig(batch_size=4, epochs=1, seed=5, mask_ratio=0.5,
+                      patch_len=10)
+    # with the params passed in, the permutation is the RNG's first draw;
+    # the worker computes the second half of the batch
+    poisoned = np.random.default_rng(cfg.seed).permutation(4)[3]
+    samples[poisoned, 7, 0] = np.nan
+    classify = Model.classify
+    errors = {}
+    for n_cpus in (1, 2):
+        seen_nan = []  # per classification forward made in this process
+
+        def noting_classify(self, window, *args, **kwargs):
+            seen_nan.append(bool(np.isnan(window.samples).any()))
+            return classify(self, window, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "classify", noting_classify)
+        params = init_params(mc, np.random.default_rng(5))
+        start = {k: p.data.copy() for k, p in params.items()}
+        forks = _split_across(monkeypatch, n_cpus)
+        with pytest.raises(TrainingDivergedError) as exc:
+            train_fold(samples, labels, mc, cfg, params=params)
+        errors[n_cpus] = exc.value
+        assert len(forks) == n_cpus - 1
+        assert any(seen_nan) == (n_cpus == 1)
+        for k, p in params.items():
+            assert np.array_equal(p.data, start[k]), k
+            assert p.grad is None, k
+        _no_child_left()
+    serial, split = errors[1], errors[2]
+    assert (split.epoch, split.step) == (serial.epoch, serial.step) == (1, 1)
+    assert np.isnan(serial.ce)
+    assert np.array_equal([split.loss, split.ce, split.mse],
+                          [serial.loss, serial.ce, serial.mse],
+                          equal_nan=True)
+
+
+@can_split
+@pytest.mark.parametrize("in_worker, error",
+                         [(True, RuntimeError), (False, ValueError)],
+                         ids=["in_the_worker", "in_the_caller"])
+def test_a_failing_training_share_raises_in_the_caller_and_leaves_no_child(
+        monkeypatch, blas_threads, in_worker, error):
+    samples, labels = tiny_dataset()
+    caller = os.getpid()
+    classify = Model.classify
+
+    def failing(self, *args, **kwargs):
+        if (os.getpid() != caller) == in_worker:
+            raise ValueError("window rejected")
+        return classify(self, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "classify", failing)
+    forks = _split_across(monkeypatch, 2)
+    with pytest.raises(error):
+        train_fold(samples, labels, tiny_model_config(),
+                   TrainConfig(batch_size=4, epochs=2, patch_len=10))
+    assert forks
+    assert blas_threads() == 3
+    _no_child_left()
+
+
+@can_split
+def test_split_training_runs_blas_on_one_thread_and_restores_the_count(
+        monkeypatch, blas_threads):
+    seen = []
+    classify = Model.classify
+
+    def noting_threads(self, *args, **kwargs):
+        seen.append(blas_threads())
+        return classify(self, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "classify", noting_threads)
+    forks = _split_across(monkeypatch, 2)
+    samples, labels = tiny_dataset()
+    train_fold(samples, labels, tiny_model_config(),
+               TrainConfig(batch_size=4, epochs=1, patch_len=10))
+    assert forks and seen == [1, 1]  # the caller's share: two windows
+    assert blas_threads() == 3
