@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 usage error (argparse), 3 data or schema error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -16,8 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .dataio import (REPORT_FORMAT, DataFormatError, load_checkpoint,
-                     read_dataset, save_checkpoint, write_dataset,
-                     write_report)
+                     read_config, read_dataset, save_checkpoint,
+                     write_dataset, write_report)
 from .experiments import (aggregate, evaluate_model, losocv_benchmark, score,
                           windows_by_subject)
 from .metrics import labels_to_segments
@@ -57,6 +56,19 @@ def _parse_window(text: str) -> tuple[int, int]:
             f"bad window {text!r}; expected 'start:end'") from exc
 
 
+def _parse_iou_threshold(text: str) -> float:
+    """A threshold in (0, 1]: above 1 no segment pair matches, and a NaN
+    fails every comparison."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"bad IoU threshold {text!r}; expected a number in (0, 1]")
+    return value
+
+
 def _report_skeleton(command: str, seed: int, started: float) -> dict:
     return {
         "format_version": REPORT_FORMAT,
@@ -67,29 +79,10 @@ def _report_skeleton(command: str, seed: int, started: float) -> dict:
     }
 
 
-def _load_config_file(path: str | None) -> tuple[dict, dict]:
-    if path is None:
-        return {}, {}
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise DataFormatError(f"config file {path} must hold a JSON object "
-                              f"with optional \"model\" and \"train\" objects")
-    extra = set(doc) - {"model", "train"}
-    if extra:
-        raise DataFormatError(f"config file has unknown sections {extra}")
-    sections = {name: doc.get(name, {}) for name in ("model", "train")}
-    bad = [name for name, section in sections.items()
-           if not isinstance(section, dict)]
-    if bad:
-        raise DataFormatError(f"config file {path}: sections {bad} must be "
-                              f"JSON objects")
-    return sections["model"], sections["train"]
-
-
 def _build_configs(args) -> tuple[ModelConfig, TrainConfig]:
     """Build both configs, enumerating every violation before training."""
-    model_over, train_over = _load_config_file(args.config)
+    model_over, train_over = read_config(args.config) if args.config \
+        else ({}, {})
     for flag in ("mask_ratio", "eta", "epochs", "batch_size", "seed"):
         value = getattr(args, flag, None)
         if value is not None:
@@ -99,12 +92,12 @@ def _build_configs(args) -> tuple[ModelConfig, TrainConfig]:
     problems = []
     model_config = train_config = None
     try:
-        model_config = ModelConfig.from_dict(model_over)
-    except (ValueError, TypeError) as exc:
+        model_config = ModelConfig(**model_over)
+    except ValueError as exc:
         problems.append(f"model config: {exc}")
     try:
-        train_config = TrainConfig.from_dict(train_over)
-    except (ValueError, TypeError) as exc:
+        train_config = TrainConfig(**train_over)
+    except ValueError as exc:
         problems.append(f"train config: {exc}")
     if problems:
         raise DataFormatError("; ".join(problems))
@@ -295,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON file with 'model'/'train' sections")
     t.add_argument("--losocv", action="store_true")
     t.add_argument("--jobs", type=int, default=1)
-    t.add_argument("--iou-threshold", type=float, default=0.75)
+    t.add_argument("--iou-threshold", type=_parse_iou_threshold,
+                   default=0.75)
     t.add_argument("--mask-ratio", type=float, default=None,
                    dest="mask_ratio")
     t.add_argument("--eta", type=float, default=None)
@@ -311,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--checkpoints", nargs="*", default=None)
     e.add_argument("--oracle", action="store_true",
                    help="score the ground truth against itself")
-    e.add_argument("--iou-threshold", type=float, default=0.75,
-                   dest="iou_threshold")
+    e.add_argument("--iou-threshold", type=_parse_iou_threshold,
+                   default=0.75, dest="iou_threshold")
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--report", default=None)
     e.set_defaults(func=cmd_evaluate)

@@ -1,10 +1,15 @@
 """File formats: per-subject CSV signal tables plus a JSON manifest for
-datasets, checksummed JSON checkpoints, and versioned JSON run reports.
+datasets, checksummed JSON checkpoints, JSON config files, and versioned
+JSON run reports.
 
-MANIFEST_SCHEMA and CHECKPOINT_SCHEMA are the one statement of each field's
-JSON type; the readers check a document against its schema, then what no
-schema can say (CSV rows, segment counts, checksum, parameter sizes), and
-raise DataFormatError. Nothing parses a manifest subject's `profile`.
+MANIFEST_SCHEMA, CHECKPOINT_SCHEMA, CONFIG_SCHEMA and REPORT_SCHEMA are the
+one statement of each field's JSON type, and `_check` is the one code that
+checks a document against them. The readers check a document against its
+schema, then what no schema can say (CSV rows, segment counts, checksum,
+parameter sizes), and raise DataFormatError; `write_report` checks a report
+before it opens the file. CONFIG_SCHEMA is derived from the ModelConfig and
+TrainConfig field annotations, and their value ranges stay with the classes.
+Nothing parses a manifest subject's `profile`.
 
 Plain text everywhere: the files are diff-friendly, language-neutral, and
 small at the scales this package targets. Floats are written with repr, which
@@ -21,7 +26,8 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +36,7 @@ from . import autodiff as ad
 from .metrics import labels_to_segments
 from .model import Model, ModelConfig
 from .synth import CLASS_NAMES, N_CLASSES, Recording, SubjectProfile
+from .train import TrainConfig
 
 DATASET_FORMAT = 1
 CHECKPOINT_FORMAT = 1
@@ -53,22 +60,27 @@ _JSON_TYPE = {dict: "object", list: "array", str: "string", bool: "boolean",
 def _check(value, schema: dict, where: str, path: str = "") -> None:
     """DataFormatError unless the parsed JSON `value` matches `schema`.
 
-    Reads the keywords MANIFEST_SCHEMA and CHECKPOINT_SCHEMA use: type,
-    const, required, properties, additionalProperties, items, minItems,
-    maxItems, minimum, exclusiveMinimum and pattern. Stricter than JSON
-    Schema in two ways: an integer is never a float such as 2.0, and true
-    and false are never numbers. A NaN, which Python's json module reads,
-    fails every bound. `where` names the file, `path` the field.
+    Reads the keywords this module's schemas use: type, const, enum,
+    required, properties, additionalProperties, items, minItems, maxItems,
+    minimum, exclusiveMinimum and pattern, and the schema `false`, which no
+    value matches (an `additionalProperties: false` key is unknown).
+    Stricter than JSON Schema in two ways: an integer is never a float such
+    as 2.0, and true and false are never numbers. A NaN, which Python's json
+    module reads, fails every bound. `where` names the file, `path` the
+    field.
     """
+    if schema is False:
+        raise DataFormatError(f"{where}: {path} is not a known field")
     kind = _JSON_TYPE[type(value)]
 
     def fail(what: str, got=kind):
         raise DataFormatError(f"{where}{': ' if path else ''}{path} must be "
                               f"{what}, got {got}")
 
-    if "const" in schema and (kind, value) != (
-            _JSON_TYPE[type(schema["const"])], schema["const"]):
-        fail(json.dumps(schema["const"]), json.dumps(value))
+    allowed = [schema["const"]] if "const" in schema else schema.get("enum")
+    if allowed is not None and (kind, value) not in [
+            (_JSON_TYPE[type(a)], a) for a in allowed]:
+        fail(" or ".join(map(json.dumps, allowed)), json.dumps(value))
     types = schema.get("type", [])
     types = [types] if isinstance(types, str) else types
     if types and kind not in types \
@@ -295,10 +307,7 @@ def load_checkpoint(path) -> Model:
     if _digest({k: doc[k] for k in ("model_config", "params")}) \
             != doc["sha256"]:
         raise ChecksumError(f"{path}: payload does not match its checksum")
-    try:
-        config = ModelConfig.from_dict(doc["model_config"])
-    except TypeError as exc:
-        raise DataFormatError(f"{path}: model_config: {exc}") from exc
+    config = ModelConfig(**doc["model_config"])
     params = {}
     for name, block in doc["params"].items():
         raw = base64.b64decode(block["data"])
@@ -310,17 +319,25 @@ def load_checkpoint(path) -> Model:
     return Model(config, params=params)
 
 
+# ------------------------------------------------------------------ configs
+
+def read_config(path) -> tuple[dict, dict]:
+    """The "model" and "train" sections of a config file, each {} when
+    absent, checked against CONFIG_SCHEMA."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    _check(doc, CONFIG_SCHEMA, str(path))
+    return doc.get("model", {}), doc.get("train", {})
+
+
 # ------------------------------------------------------------------ reports
 
-_REQUIRED_REPORT_KEYS = ("format_version", "kind", "command", "seed",
-                         "wall_clock_s")
-
-
 def write_report(path, report: dict) -> Path:
-    """Validate and write a report; a NaN or infinity raises ValueError
-    before the file is opened."""
-    check_report_structure(report)
+    """Check and write a report; a NaN or infinity raises ValueError, and a
+    report that breaks REPORT_SCHEMA DataFormatError, before the file is
+    opened."""
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    check_report_structure(json.loads(text))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
@@ -331,24 +348,18 @@ def write_report(path, report: dict) -> Path:
 def read_report(path) -> dict:
     with open(path) as fh:
         report = json.load(fh)
-    check_report_structure(report)
+    check_report_structure(report, str(path))
     return report
 
 
-def check_report_structure(report: dict):
-    """Light structural validation (full schema validation lives in tests)."""
-    missing = [k for k in _REQUIRED_REPORT_KEYS if k not in report]
-    if missing:
-        raise DataFormatError(f"report is missing keys {missing}")
-    if report["kind"] != "run_report" \
-            or report["format_version"] != REPORT_FORMAT:
-        raise DataFormatError("not a run report (kind/format_version)")
+def check_report_structure(report: dict, where: str = "report") -> None:
+    """DataFormatError unless the parsed `report` matches REPORT_SCHEMA."""
+    _check(report, REPORT_SCHEMA, where)
 
 
-# JSON-Schema documents for the three file kinds. read_dataset and
-# load_checkpoint check every manifest and checkpoint against theirs with
-# `_check`; run reports get only check_report_structure at run time, and the
-# test suite validates them against REPORT_SCHEMA.
+# JSON-Schema documents for the file kinds. Every document the program reads
+# or writes is checked against its schema with `_check`; the test suite
+# checks `_check` against jsonschema on mutated documents.
 
 _F1_REPORT_SCHEMA = {
     "type": "object",
@@ -357,22 +368,16 @@ _F1_REPORT_SCHEMA = {
         "per_class": {
             "type": "object",
             "additionalProperties": {
-                "oneOf": [
-                    {"type": "null"},
-                    {
-                        "type": "object",
-                        "required": ["tp", "fp", "fn", "precision", "recall",
-                                     "f1"],
-                        "properties": {
-                            "tp": {"type": "number"},
-                            "fp": {"type": "number"},
-                            "fn": {"type": "number"},
-                            "precision": {"type": "number"},
-                            "recall": {"type": "number"},
-                            "f1": {"type": "number"},
-                        },
-                    },
-                ],
+                "type": ["object", "null"],
+                "required": ["tp", "fp", "fn", "precision", "recall", "f1"],
+                "properties": {
+                    "tp": {"type": "number"},
+                    "fp": {"type": "number"},
+                    "fn": {"type": "number"},
+                    "precision": {"type": "number"},
+                    "recall": {"type": "number"},
+                    "f1": {"type": "number"},
+                },
             },
         },
         "macro_f1": {"type": ["number", "null"]},
@@ -446,7 +451,8 @@ _FOLD_SCHEMA = {
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
-    "required": list(_REQUIRED_REPORT_KEYS),
+    "required": ["format_version", "kind", "command", "seed",
+                 "wall_clock_s"],
     "properties": {
         "format_version": {"const": REPORT_FORMAT},
         "kind": {"const": "run_report"},
@@ -560,6 +566,32 @@ MANIFEST_SCHEMA = {
     },
 }
 
+
+def _config_schema(cls) -> dict:
+    """The schema of a config dataclass, from its field annotations: an
+    `int` field takes a JSON integer, a `float` field a number, `X | None`
+    also null, and no other key is allowed."""
+    hints = typing.get_type_hints(cls)
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        "properties": {
+            f.name: {"type": [_JSON_TYPE[t] for t in
+                              typing.get_args(hints[f.name])
+                              or (hints[f.name],)]}
+            for f in fields(cls)},
+    }
+
+
+CONFIG_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "type": "object",
+    "additionalProperties": False,
+    "properties": {"model": _config_schema(ModelConfig),
+                   "train": _config_schema(TrainConfig)},
+}
+
+
 CHECKPOINT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
@@ -569,7 +601,7 @@ CHECKPOINT_SCHEMA = {
         "format_version": {"const": CHECKPOINT_FORMAT},
         "kind": {"const": "checkpoint"},
         "sha256": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
-        "model_config": {"type": "object"},
+        "model_config": CONFIG_SCHEMA["properties"]["model"],
         "params": {
             "type": "object",
             "additionalProperties": {

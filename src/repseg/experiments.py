@@ -7,7 +7,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -172,12 +172,6 @@ def _fold_pool(jobs: int) -> ProcessPoolExecutor:
                   multiprocessing.Value("i", 0)))
 
 
-def _fold_worker(payload):
-    subject_windows, fold, mc, tc, iou, return_params = payload
-    return run_fold(subject_windows, fold, ModelConfig.from_dict(mc),
-                    TrainConfig.from_dict(tc), iou, return_params)
-
-
 @dataclass
 class BenchmarkResult:
     outcomes: list[FoldOutcome]
@@ -205,14 +199,14 @@ def losocv_benchmark(subject_windows: dict, model_config: ModelConfig,
                      jobs: int = 1,
                      return_params: bool = False) -> BenchmarkResult:
     """Train and score every leave-one-subject-out fold."""
-    payloads = [(subject_windows, f, model_config.to_dict(),
-                 train_config.to_dict(), iou_threshold, return_params)
+    payloads = [(subject_windows, f, model_config, train_config,
+                 iou_threshold, return_params)
                 for f in make_losocv(list(subject_windows))]
     if jobs > 1:
         with _fold_pool(jobs) as pool:
-            outcomes = list(pool.map(_fold_worker, payloads))
+            outcomes = list(pool.map(run_fold, *zip(*payloads)))
     else:
-        outcomes = [_fold_worker(p) for p in payloads]
+        outcomes = [run_fold(*p) for p in payloads]
     pooled = score([o.labels for o in outcomes], model_config.n_classes,
                    iou_threshold)
     return BenchmarkResult(outcomes=outcomes, loa=pooled.get("loa"))
@@ -268,13 +262,11 @@ def mask_ratio_sweep(subject_windows: dict, model_config: ModelConfig,
                      jobs: int = 1) -> SweepResult:
     """LOSOCV benchmark per mask ratio; seed count per ratio via seeds_for."""
     result = SweepResult()
-    base = train_config.to_dict()
     for ratio in ratios:
         seeds = seeds_for(ratio)
         per_seed = []
         for seed in seeds:
-            cfg = TrainConfig.from_dict(
-                {**base, "mask_ratio": ratio, "seed": seed})
+            cfg = replace(train_config, mask_ratio=ratio, seed=seed)
             bench = losocv_benchmark(subject_windows, model_config, cfg,
                                      iou_threshold, jobs)
             per_seed.append(bench.mean_macro_sample_f1)

@@ -10,8 +10,6 @@ from either loss update the same encoder.
 
 from __future__ import annotations
 
-import numbers
-import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -26,32 +24,7 @@ __all__ = [
     "positional_encoding",
     "param_shapes",
     "init_params",
-    "check_field_types",
 ]
-
-
-def check_field_types(cls, values: dict) -> None:
-    """TypeError unless each value suits its dataclass field's annotation.
-
-    Meant for configs read from JSON: an `int` field takes an integer but
-    not a bool, a `float` field an integer or a float, and an `X | None`
-    field also null.
-    """
-    hints = typing.get_type_hints(cls)
-    for name, value in values.items():
-        allowed = typing.get_args(hints[name]) or (hints[name],)
-        if value is None:
-            ok = type(None) in allowed
-        elif isinstance(value, bool):
-            ok = False
-        else:
-            ok = (int in allowed and isinstance(value, numbers.Integral)) \
-                or (float in allowed and isinstance(value, numbers.Real))
-        if not ok:
-            names = ["null" if t is type(None) else t.__name__
-                     for t in allowed]
-            raise TypeError(f"{name} must be {' or '.join(names)}, got "
-                            f"{type(value).__name__} {value!r}")
 
 
 @dataclass
@@ -87,7 +60,7 @@ class ModelConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         for name in ("d_model", "n_heads", "n_layers", "window_len",
                      "n_channels", "n_classes", "ffn_dim", "tcn_layers",
-                     "tcn_channels"):
+                     "tcn_channels", "kernel_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 
@@ -108,14 +81,6 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        extra = set(d) - {f.name for f in fields(cls)}
-        if extra:
-            raise ValueError(f"unknown model-config fields: {sorted(extra)}")
-        check_field_types(cls, d)
-        return cls(**d)
 
 
 @dataclass

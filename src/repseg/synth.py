@@ -262,6 +262,8 @@ def generate_recording(profile: SubjectProfile, plan: list[tuple[int, int]],
 def make_cohort(n_subjects: int, plan: list[tuple[int, int]] | None = None,
                 seed: int = 0) -> tuple[list[Recording], list[SubjectProfile]]:
     """Independent subjects from one master seed (stable per-subject seeds)."""
+    if n_subjects < 1:
+        raise ValueError(f"need at least 1 subject, got {n_subjects}")
     plan = plan if plan is not None else DEFAULT_PLAN
     recordings, profiles = [], []
     children = np.random.SeedSequence(seed).spawn(n_subjects)

@@ -36,7 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from .masking import (LossWeights, MaskSpec, apply_mask, combined_loss,
                       cross_entropy, draw_mask, masked_mse, one_hot)
-from .model import Model, ModelConfig, SignalWindow, check_field_types
+from .model import Model, ModelConfig, SignalWindow
 
 
 class TrainingDivergedError(RuntimeError):
@@ -90,15 +90,6 @@ class TrainConfig:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown train-config fields: {sorted(extra)}")
-        check_field_types(cls, d)
-        return cls(**d)
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,32 @@ def test_generate_bad_plan_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("subjects", ["-1", "0"])
+def test_generate_without_subjects_is_data_error(tmp_path, capsys, subjects):
+    code = main(["generate", "--subjects", subjects,
+                 "--out", str(tmp_path / "d")])
+    assert code == 3
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "1.5", "0", "-0.5", "x"])
+def test_iou_threshold_outside_the_unit_interval_is_usage_error(
+        workspace, tmp_path, capsys, threshold):
+    data = str(workspace / "data")
+    report = tmp_path / "report.json"
+    for argv in (["train", "--data", data, "--losocv",
+                  "--config", str(workspace / "config.json"),
+                  "--out", str(tmp_path / "o")],
+                 ["evaluate", "--data", data, "--oracle",
+                  "--report", str(report)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--iou-threshold", threshold])
+        assert exc.value.code == 2
+        assert "expected a number in (0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists() and not report.exists()
+
+
 def test_train_losocv_writes_checkpoints_and_report(workspace):
     out = workspace / "run"
     code = main(["train", "--data", str(workspace / "data"),
@@ -112,22 +138,22 @@ def test_train_config_that_is_not_an_object_is_data_error(
     code = main(["train", "--data", str(workspace / "data"),
                  "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 3
-    assert "must hold a JSON object" in capsys.readouterr().err
+    assert f"{bad} must be a JSON object, got" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
 def test_train_config_section_that_is_not_an_object_is_data_error(
         workspace, tmp_path, capsys):
-    for doc, named in (({"model": 5}, "'model'"),
-                       ({"model": CONFIG["model"], "train": [1]}, "'train'"),
-                       ({"train": None}, "'train'")):
+    for doc, named in (({"model": 5}, "model"),
+                       ({"model": CONFIG["model"], "train": [1]}, "train"),
+                       ({"train": None}, "train")):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         code = main(["train", "--data", str(workspace / "data"),
                      "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 3
         err = capsys.readouterr().err
-        assert named in err and "must be JSON objects" in err
+        assert f"{bad}: {named} must be a JSON object, got" in err
         assert not (tmp_path / "o").exists()
 
 
@@ -158,7 +184,7 @@ def test_train_config_without_early_stopping_or_class_weights(
                  "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 3
     err = capsys.readouterr().err
-    assert "unknown train-config fields" in err and field in err
+    assert f"{bad}: train.{field} is not a known field" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -214,7 +240,8 @@ def test_evaluate_unknown_model_config_key_is_data_error(workspace,
     code = main(["evaluate", "--data", str(workspace / "data"),
                  "--checkpoints", str(ckpt)])
     assert code == 3
-    assert "unknown model-config fields" in capsys.readouterr().err
+    assert f"{ckpt}: model_config.width is not a known field" \
+        in capsys.readouterr().err
 
 
 def test_evaluate_class_count_mismatch_is_data_error(workspace, tmp_path,

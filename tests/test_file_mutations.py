@@ -1,11 +1,15 @@
-"""Deterministic mutation test of the two input-file readers.
+"""Deterministic mutation test of every JSON document the program reads or
+writes, against the schema walker `dataio._check`.
 
-Every field of a valid manifest and checkpoint, nested fields and list items
-included, is set in turn to each of seven values of the wrong shape, and
-removed. `read_dataset` / `load_checkpoint` must then either return or raise
-what `cli.main` reports as a data error (exit 3), never anything else; and a
+Every field of a valid manifest, checkpoint and config, nested fields and
+list items included, is set in turn to each of seven values of the wrong
+shape, and removed. The reader must then either return or raise what
+`cli.main` reports as a data error (exit 3), never anything else; and a
 document that jsonschema finds invalid against the shipped schema must fail
-with a DataFormatError.
+with a DataFormatError. Each manifest and checkpoint mutant also goes through
+`main`, which exits 0 with a report or 3 without one. Train, evaluate and
+velocity reports are mutated in their first array items only, and
+`write_report` must agree with jsonschema on each.
 """
 
 import copy
@@ -18,33 +22,36 @@ import numpy as np
 import pytest
 
 from repseg.cli import DATA_ERRORS, main
-from repseg.dataio import (CHECKPOINT_SCHEMA, MANIFEST_SCHEMA,
-                           DataFormatError, _check, _digest, load_checkpoint,
-                           read_dataset, save_checkpoint, write_dataset)
+from repseg.dataio import (CHECKPOINT_SCHEMA, CONFIG_SCHEMA, MANIFEST_SCHEMA,
+                           REPORT_SCHEMA, DataFormatError, _check, _digest,
+                           load_checkpoint, read_config, read_dataset,
+                           save_checkpoint, write_dataset, write_report)
 from repseg.model import Model, ModelConfig
 from repseg.synth import make_cohort
+from repseg.train import TrainConfig
 from test_cli import CONFIG
 
 WRONG_VALUES = (None, True, -1, 1.5, "x", [], {})
 REMOVED = object()
 
 
-def field_paths(doc, prefix=()):
-    """Every key path inside a parsed JSON document, parents first."""
+def field_paths(doc, prefix=(), first_items=False):
+    """Every key path inside a parsed JSON document, parents first; with
+    `first_items`, paths into the first item of each array only."""
     if isinstance(doc, dict):
         items = doc.items()
     elif isinstance(doc, list):
-        items = enumerate(doc)
+        items = enumerate(doc[:1] if first_items else doc)
     else:
         return
     for key, value in items:
         yield prefix + (key,)
-        yield from field_paths(value, prefix + (key,))
+        yield from field_paths(value, prefix + (key,), first_items)
 
 
-def mutants(doc):
+def mutants(doc, first_items=False):
     """(path, value, mutated copy) for each path and each wrong value."""
-    for path in field_paths(doc):
+    for path in field_paths(doc, first_items=first_items):
         for value in (*WRONG_VALUES, REMOVED):
             bad = copy.deepcopy(doc)
             *parents, last = path
@@ -81,6 +88,25 @@ def _check_outcomes(cases, schema, read):
     return counts
 
 
+def _through_main(read, argv, report):
+    """`read` a mutant, then run `main(argv)` on the same file: it exits 0
+    with a report or 3 without one, and 3 whenever `read` raised."""
+    def run():
+        report.unlink(missing_ok=True)
+        code = main([*argv, "--report", str(report)])
+        assert code in (0, 3) and report.exists() == (code == 0), code
+        return code
+
+    def read_and_run(doc):
+        try:
+            read(doc)
+        except DATA_ERRORS:
+            assert run() == 3
+            raise
+        run()
+    return read_and_run
+
+
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("mutations") / "data"
@@ -97,7 +123,8 @@ def checkpoint_doc(tmp_path_factory):
     return json.loads(save_checkpoint(path, model).read_text())
 
 
-def test_every_manifest_mutant_reads_or_is_a_data_error(dataset_dir):
+def test_every_manifest_mutant_reads_or_is_a_data_error(dataset_dir,
+                                                        tmp_path):
     manifest_path = dataset_dir / "manifest.json"
     original = manifest_path.read_text()
     manifest = json.loads(original)
@@ -106,8 +133,11 @@ def test_every_manifest_mutant_reads_or_is_a_data_error(dataset_dir):
         manifest_path.write_text(json.dumps(doc))
         read_dataset(dataset_dir)
 
+    evaluate = ["evaluate", "--data", str(dataset_dir), "--oracle"]
     try:
-        counts = _check_outcomes(mutants(manifest), MANIFEST_SCHEMA, read)
+        counts = _check_outcomes(
+            mutants(manifest), MANIFEST_SCHEMA,
+            _through_main(read, evaluate, tmp_path / "report.json"))
     finally:
         manifest_path.write_text(original)
     # the profile is never parsed, so its mutants read
@@ -115,6 +145,7 @@ def test_every_manifest_mutant_reads_or_is_a_data_error(dataset_dir):
 
 
 def test_every_checkpoint_mutant_loads_or_is_a_data_error(tmp_path,
+                                                          dataset_dir,
                                                           checkpoint_doc):
     path = tmp_path / "ckpt.json"
 
@@ -129,8 +160,59 @@ def test_every_checkpoint_mutant_loads_or_is_a_data_error(tmp_path,
                     "model_config"), "params": doc.get("params")})
             yield path, value, doc
 
-    counts = _check_outcomes(resealed(), CHECKPOINT_SCHEMA, read)
+    evaluate = ["evaluate", "--data", str(dataset_dir), "--checkpoints",
+                str(path)]
+    counts = _check_outcomes(
+        resealed(), CHECKPOINT_SCHEMA,
+        _through_main(read, evaluate, tmp_path / "report.json"))
     # removing an optional model_config field leaves a loadable default
+    assert counts["read"] > 0 and counts["rejected"] > 0, counts
+
+
+def test_every_config_mutant_loads_or_is_a_data_error(tmp_path):
+    path = tmp_path / "config.json"
+
+    def read(doc):
+        path.write_text(json.dumps(doc))
+        model, train = read_config(path)
+        ModelConfig(**model), TrainConfig(**train)
+
+    counts = _check_outcomes(mutants(CONFIG), CONFIG_SCHEMA, read)
+    # a removed field leaves its default
+    assert counts["read"] > 0 and counts["rejected"] > 0, counts
+
+
+@pytest.fixture(scope="module")
+def reports(tmp_path_factory):
+    """A LOSOCV train report, an evaluate and a velocity report, parsed."""
+    root = tmp_path_factory.mktemp("reports")
+    data, run = str(root / "data"), root / "run"
+    config = root / "config.json"
+    config.write_text(json.dumps(
+        {**CONFIG, "train": {**CONFIG["train"], "epochs": 1}}))
+    for argv in (["generate", "--subjects", "2", "--plan", "1:1,4:1",
+                  "--out", data],
+                 ["train", "--data", data, "--config", str(config),
+                  "--losocv", "--out", str(run)],
+                 ["evaluate", "--data", data, "--checkpoints",
+                  str(run / "fold_s00.json"), "--report",
+                  str(root / "evaluate.json")],
+                 ["velocity", "--data", data, "--subject", "s00",
+                  "--use-true-labels", "--report",
+                  str(root / "velocity.json")]):
+        assert main(argv) == 0, argv
+    return {"train": json.loads((run / "train_report.json").read_text()),
+            **{name: json.loads((root / f"{name}.json").read_text())
+               for name in ("evaluate", "velocity")}}
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "velocity"])
+def test_every_report_mutant_is_written_or_is_a_data_error(reports, tmp_path,
+                                                           command):
+    path = tmp_path / "report.json"
+    counts = _check_outcomes(mutants(reports[command], first_items=True),
+                             REPORT_SCHEMA,
+                             functools.partial(write_report, path))
     assert counts["read"] > 0 and counts["rejected"] > 0, counts
 
 

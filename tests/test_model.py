@@ -9,6 +9,7 @@ import pytest
 
 import fdtools
 from repseg import autodiff as ad
+from repseg.dataio import CONFIG_SCHEMA, DataFormatError, _check
 from repseg.masking import (apply_mask, combined_loss, cross_entropy,
                             draw_mask, masked_mse, one_hot)
 from repseg.model import (
@@ -35,14 +36,18 @@ def test_config_validation():
         ModelConfig(d_model=10, n_heads=4)
     with pytest.raises(ValueError):
         ModelConfig(kernel_size=2)
+    with pytest.raises(ValueError, match="kernel_size must be positive"):
+        ModelConfig(kernel_size=-1)
     with pytest.raises(ValueError):
         ModelConfig(dropout=1.0)
     cfg = ModelConfig()
     assert cfg.ffn_dim == 512
     assert cfg.head_dim == 16
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
-    with pytest.raises(ValueError, match="unknown model-config"):
-        ModelConfig.from_dict({**cfg.to_dict(), "width": 3})
+    assert ModelConfig(**cfg.to_dict()) == cfg
+    with pytest.raises(DataFormatError,
+                       match="model.width is not a known field"):
+        _check({"model": {**cfg.to_dict(), "width": 3}}, CONFIG_SCHEMA,
+               "config.json")
 
 
 def test_receptive_field_numbers():

@@ -10,6 +10,7 @@ import pytest
 
 from repseg import autodiff as ad
 from repseg import train
+from repseg.dataio import CONFIG_SCHEMA, DataFormatError, _check
 from repseg.masking import (LossWeights, apply_mask, combined_loss,
                             cross_entropy, draw_mask, masked_mse, one_hot)
 from repseg.model import Model, ModelConfig, SignalWindow, init_params
@@ -80,14 +81,16 @@ def test_train_config_validation_and_roundtrip():
     assert cfg.batch_size == 16
     assert cfg.eta == 500.0
     assert cfg.mask_ratio == 0.8
-    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+    assert TrainConfig(**cfg.to_dict()) == cfg
     for bad in [dict(batch_size=0), dict(epochs=0), dict(learning_rate=0.0),
                 dict(beta1=1.0), dict(mask_ratio=1.5), dict(eta=-1.0),
                 dict(patch_len=0)]:
         with pytest.raises(ValueError):
             TrainConfig(**bad)
-    with pytest.raises(ValueError):
-        TrainConfig.from_dict({"epochs": 1, "bogus": 2})
+    with pytest.raises(DataFormatError,
+                       match="train.bogus is not a known field"):
+        _check({"train": {"epochs": 1, "bogus": 2}}, CONFIG_SCHEMA,
+               "config.json")
 
 
 def test_make_losocv():
