@@ -180,6 +180,11 @@ def _fmt(x) -> str:
 
 def cmd_evaluate(args) -> int:
     started = time.perf_counter()
+    if not (args.oracle or args.checkpoints):
+        raise DataFormatError("pass --checkpoints or --oracle")
+    # every checkpoint is checked before any CSV is parsed
+    models = [(path, load_checkpoint(path))
+              for path in map(Path, args.checkpoints or [])]
     dataset = read_dataset(args.data)
     report = _report_skeleton("evaluate", args.seed, started)
     report["dataset"] = str(args.data)
@@ -190,10 +195,7 @@ def cmd_evaluate(args) -> int:
         truth = [(rec.labels, rec.labels) for rec in dataset.recordings]
         rows.append({"checkpoint": "oracle(truth)",
                      **score(truth, N_CLASSES, args.iou_threshold)})
-    elif not args.checkpoints:
-        raise DataFormatError("pass --checkpoints or --oracle")
-    for path in map(Path, args.checkpoints or []):
-        model = load_checkpoint(path)
+    for path, model in models:
         cfg = model.config
         if (cfg.n_channels, cfg.n_classes) \
                 != (dataset.recordings[0].signal.shape[1], N_CLASSES):

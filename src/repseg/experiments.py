@@ -4,20 +4,17 @@ velocity paths and emit the plot-ready sweep table."""
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import forked
 from .dataio import Dataset
 from .metrics import (ClassF1Report, ClassScore, confusion_matrix, count_loa,
                       labels_to_segments, sample_f1, segmental_iou_f1)
 from .model import Model, ModelConfig
 from .synth import windowize
-from .train import (Fold, TrainConfig, _blas_thread_control, make_losocv,
-                    predict, train_fold)
+from .train import Fold, TrainConfig, make_losocv, predict, train_fold
 
 SWEEP_RATIOS = (0.0, 0.2, 0.4, 0.6, 0.8, 0.9)
 
@@ -145,33 +142,6 @@ def run_fold(subject_windows: dict, fold: Fold, model_config: ModelConfig,
     )
 
 
-def _pin_to_one_cpu(cpus: list[int], started) -> None:
-    """Pool initializer: run this worker on the CPU of `cpus` after the one
-    the previous worker took (`started` counts them). BLAS gets one thread
-    too, as a second one would only contend for the same CPU."""
-    with started.get_lock():
-        index = started.value
-        started.value += 1
-    os.sched_setaffinity(0, {cpus[index % len(cpus)]})
-    blas = _blas_thread_control()
-    if blas is not None:
-        _, set_threads = blas
-        set_threads(1)
-
-
-def _fold_pool(jobs: int) -> ProcessPoolExecutor:
-    """`jobs` worker processes, each pinned to a CPU of its own where the
-    platform allows. `train_fold` and `predict` inside a worker then see
-    one CPU and stay serial: split again, two workers would run four
-    processes on two cores, meeting at every training step."""
-    if not hasattr(os, "sched_setaffinity"):
-        return ProcessPoolExecutor(max_workers=jobs)
-    return ProcessPoolExecutor(
-        max_workers=jobs, initializer=_pin_to_one_cpu,
-        initargs=(sorted(os.sched_getaffinity(0)),
-                  multiprocessing.Value("i", 0)))
-
-
 @dataclass
 class BenchmarkResult:
     outcomes: list[FoldOutcome]
@@ -203,7 +173,7 @@ def losocv_benchmark(subject_windows: dict, model_config: ModelConfig,
                  iou_threshold, return_params)
                 for f in make_losocv(list(subject_windows))]
     if jobs > 1:
-        with _fold_pool(jobs) as pool:
+        with forked.single_cpu_pool(jobs) as pool:
             outcomes = list(pool.map(run_fold, *zip(*payloads)))
     else:
         outcomes = [run_fold(*p) for p in payloads]

@@ -62,13 +62,12 @@ class WaveComponent:
     channel: int
     shape: str  # "half_sine" (single bump) or "full_sine" (biphasic)
     amplitude: float
-    phase: float = 0.0
 
     def evaluate(self, u: np.ndarray) -> np.ndarray:
         if self.shape == "half_sine":
-            return self.amplitude * np.sin(np.pi * (u + self.phase))
+            return self.amplitude * np.sin(np.pi * u)
         if self.shape == "full_sine":
-            return self.amplitude * np.sin(2.0 * np.pi * (u + self.phase))
+            return self.amplitude * np.sin(2.0 * np.pi * u)
         raise ValueError(f"unknown waveform shape {self.shape!r}")
 
 

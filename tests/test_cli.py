@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from repseg import train
+from repseg import forked
 from repseg.cli import main
 from repseg.dataio import (REPORT_SCHEMA, _digest, load_checkpoint,
                            read_dataset, read_report, save_checkpoint,
@@ -173,7 +173,8 @@ def test_train_config_value_of_the_wrong_type_is_data_error(
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("field", ["early_stop_patience", "class_weighting"])
+@pytest.mark.parametrize("field", ["early_stop_patience", "class_weighting",
+                                   "beta1"])
 def test_train_config_without_early_stopping_or_class_weights(
         workspace, tmp_path, capsys, field):
     doc = {"model": CONFIG["model"],
@@ -186,6 +187,36 @@ def test_train_config_without_early_stopping_or_class_weights(
     err = capsys.readouterr().err
     assert f"{bad}: train.{field} is not a known field" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("given_by", ["flag", "config"])
+def test_negative_seed_is_data_error_before_the_dataset_is_read(
+        tmp_path, capsys, given_by):
+    argv = ["train", "--data", str(tmp_path / "no_data"),
+            "--out", str(tmp_path / "o")]
+    if given_by == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {**CONFIG, "train": {**CONFIG["train"], "seed": -1}}))
+        argv += ["--config", str(config)]
+    assert main(argv) == 3
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_evaluate_checks_checkpoints_before_reading_the_dataset(tmp_path,
+                                                                capsys):
+    ckpt = tmp_path / "corrupt.json"
+    ckpt.write_text("[]")
+    data = tmp_path / "data"
+    data.mkdir()  # no manifest
+    report = tmp_path / "report.json"
+    assert main(["evaluate", "--data", str(data), "--checkpoints", str(ckpt),
+                 "--report", str(report)]) == 3
+    assert f"{ckpt} must be a JSON object" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_evaluate_checkpoints(workspace, capsys):
@@ -602,6 +633,6 @@ def test_predict_split_leaves_evaluate_and_velocity_reports_unchanged(
             reports[argv[0], n_cpus] = report
         if n_cpus == 1:
             assert not forks
-    assert bool(forks) == (train._blas_thread_control() is not None)
+    assert bool(forks) == (forked.blas_threads() is not None)
     assert reports["evaluate", 1] == reports["evaluate", 2]
     assert reports["velocity", 1] == reports["velocity", 2]

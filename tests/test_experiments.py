@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from repseg import experiments
+from repseg import forked
 from repseg.dataio import write_dataset, read_dataset
 from repseg.experiments import (
     default_sweep_seeds,
@@ -115,7 +115,7 @@ def _worker_cpus(_):
                     reason="CPU affinity is a Linux call")
 def test_each_fold_pool_worker_runs_on_one_cpu_of_its_own():
     cpus = os.sched_getaffinity(0)
-    with experiments._fold_pool(2) as pool:
+    with forked.single_cpu_pool(2) as pool:
         seen = dict(pool.map(_worker_cpus, range(6)))
     assert all(len(worker) == 1 and worker <= cpus
                for worker in seen.values())

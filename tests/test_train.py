@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repseg import autodiff as ad
-from repseg import train
+from repseg import forked
 from repseg.dataio import CONFIG_SCHEMA, DataFormatError, _check
 from repseg.masking import (LossWeights, apply_mask, combined_loss,
                             cross_entropy, draw_mask, masked_mse, one_hot)
@@ -70,7 +70,7 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-SPLITS = hasattr(os, "fork") and train._blas_thread_control() is not None
+SPLITS = hasattr(os, "fork") and forked.blas_threads() is not None
 can_split = pytest.mark.skipif(
     not SPLITS, reason="needs os.fork and a BLAS whose thread count can be "
                        "set")
@@ -83,7 +83,7 @@ def test_train_config_validation_and_roundtrip():
     assert cfg.mask_ratio == 0.8
     assert TrainConfig(**cfg.to_dict()) == cfg
     for bad in [dict(batch_size=0), dict(epochs=0), dict(learning_rate=0.0),
-                dict(beta1=1.0), dict(mask_ratio=1.5), dict(eta=-1.0),
+                dict(seed=-1), dict(mask_ratio=1.5), dict(eta=-1.0),
                 dict(patch_len=0)]:
         with pytest.raises(ValueError):
             TrainConfig(**bad)
@@ -396,8 +396,8 @@ def test_predict_shapes_and_determinism():
     assert np.array_equal(single[0], preds[0])
 
 
-@pytest.mark.parametrize("n_cpus", [1, 2, None], ids=["1cpu", "2cpus",
-                                                     "affinity"])
+@pytest.mark.parametrize("n_cpus", [1, 2, 3, None],
+                         ids=["1cpu", "2cpus", "3cpus", "affinity"])
 @pytest.mark.parametrize("n_windows", [1, 2, 3, 7])
 def test_predict_matches_the_per_window_loop(monkeypatch, n_windows, n_cpus):
     samples, _ = tiny_dataset(n_windows=n_windows, seed=n_windows)
@@ -415,7 +415,7 @@ def test_predict_matches_the_per_window_loop(monkeypatch, n_windows, n_cpus):
 @pytest.fixture
 def blas_threads():
     """BLAS set to three threads for the test; yields the count's getter."""
-    get_threads, set_threads = train._blas_thread_control()
+    get_threads, set_threads = forked.blas_threads()
     original = get_threads()
     set_threads(3)
     yield get_threads
@@ -469,7 +469,7 @@ def test_a_failing_share_raises_in_the_caller_and_leaves_no_child(
 @pytest.fixture
 def one_blas_thread():
     """BLAS set to one thread for the test, as the split runs it."""
-    get_threads, set_threads = train._blas_thread_control()
+    get_threads, set_threads = forked.blas_threads()
     original = get_threads()
     set_threads(1)
     yield
