@@ -29,8 +29,7 @@ EXIT_OK = 0
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-# what `main` reports as a data error; DataFormatError and JSONDecodeError
-# are ValueErrors
+# what `main` reports as a data error; DataFormatError is a ValueError
 DATA_ERRORS = (OSError, KeyError, ValueError)
 
 
@@ -138,8 +137,7 @@ def cmd_train(args) -> int:
     subject_windows = windows_by_subject(dataset, model_config.window_len)
     if args.losocv:
         bench = losocv_benchmark(subject_windows, model_config, train_config,
-                                 iou_threshold=args.iou_threshold,
-                                 jobs=args.jobs, return_params=True)
+                                 iou_threshold=args.iou_threshold)
         folds = bench.fold_sections()
         for outcome, section in zip(bench.outcomes, folds):
             params = {k: ad.parameter(v) for k, v in outcome.params.items()}
@@ -289,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--config", default=None,
                    help="JSON file with 'model'/'train' sections")
     t.add_argument("--losocv", action="store_true")
-    t.add_argument("--jobs", type=int, default=1)
     t.add_argument("--iou-threshold", type=_parse_iou_threshold,
                    default=0.75)
     t.add_argument("--mask-ratio", type=float, default=None,

@@ -115,6 +115,18 @@ def _check(value, schema: dict, where: str, path: str = "") -> None:
                 f"{path}.{key}" if path else key)
 
 
+def _read_json(path, schema: dict):
+    """The JSON document in the file at `path`, checked against `schema`;
+    a file that is not JSON is a DataFormatError naming it."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataFormatError(f"{path} is not JSON: {exc}") from exc
+    _check(doc, schema, str(path))
+    return doc
+
+
 # ---------------------------------------------------------------- datasets
 
 @dataclass
@@ -230,9 +242,7 @@ def read_dataset(dataset_dir, subjects=None) -> Dataset:
     manifest_path = dataset_dir / "manifest.json"
     if not manifest_path.exists():
         raise DataFormatError(f"no manifest.json under {dataset_dir}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    _check(manifest, MANIFEST_SCHEMA, str(manifest_path))
+    manifest = _read_json(manifest_path, MANIFEST_SCHEMA)
     entries = manifest["subjects"]
     if subjects is not None:
         missing = set(subjects) - {e["subject_id"] for e in entries}
@@ -301,9 +311,7 @@ def save_checkpoint(path, model: Model) -> Path:
 
 
 def load_checkpoint(path) -> Model:
-    with open(path) as fh:
-        doc = json.load(fh)
-    _check(doc, CHECKPOINT_SCHEMA, str(path))
+    doc = _read_json(path, CHECKPOINT_SCHEMA)
     if _digest({k: doc[k] for k in ("model_config", "params")}) \
             != doc["sha256"]:
         raise ChecksumError(f"{path}: payload does not match its checksum")
@@ -324,9 +332,7 @@ def load_checkpoint(path) -> Model:
 def read_config(path) -> tuple[dict, dict]:
     """The "model" and "train" sections of a config file, each {} when
     absent, checked against CONFIG_SCHEMA."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    _check(doc, CONFIG_SCHEMA, str(path))
+    doc = _read_json(path, CONFIG_SCHEMA)
     return doc.get("model", {}), doc.get("train", {})
 
 
@@ -346,10 +352,7 @@ def write_report(path, report: dict) -> Path:
 
 
 def read_report(path) -> dict:
-    with open(path) as fh:
-        report = json.load(fh)
-    check_report_structure(report, str(path))
-    return report
+    return _read_json(path, REPORT_SCHEMA)
 
 
 def check_report_structure(report: dict, where: str = "report") -> None:

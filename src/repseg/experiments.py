@@ -99,7 +99,7 @@ class FoldOutcome:
     labels: tuple  # the held-out subject's flat (truth, predicted) labels
     curves: dict
     wall_clock_s: float
-    params: dict | None = None  # trained arrays, only when requested
+    params: dict  # the trained arrays by parameter name
 
     @property
     def sample_report(self) -> dict:
@@ -111,8 +111,8 @@ class FoldOutcome:
 
 
 def run_fold(subject_windows: dict, fold: Fold, model_config: ModelConfig,
-             train_config: TrainConfig, iou_threshold: float = 0.75,
-             return_params: bool = False) -> FoldOutcome:
+             train_config: TrainConfig,
+             iou_threshold: float = 0.75) -> FoldOutcome:
     """Train on the fold's training subjects, evaluate on the held-out one."""
     missing = [s for s in (*fold.train_subjects, fold.test_subject)
                if s not in subject_windows]
@@ -137,8 +137,7 @@ def run_fold(subject_windows: dict, fold: Fold, model_config: ModelConfig,
         labels=held_out,
         curves=result.curves(),
         wall_clock_s=result.wall_clock_s,
-        params={k: p.data for k, p in result.model.parameters().items()}
-        if return_params else None,
+        params={k: p.data for k, p in result.model.parameters().items()},
     )
 
 
@@ -165,27 +164,21 @@ class BenchmarkResult:
 
 
 def losocv_benchmark(subject_windows: dict, model_config: ModelConfig,
-                     train_config: TrainConfig, iou_threshold: float = 0.75,
-                     jobs: int = 1,
-                     return_params: bool = False) -> BenchmarkResult:
-    """Train and score every leave-one-subject-out fold."""
+                     train_config: TrainConfig,
+                     iou_threshold: float = 0.75) -> BenchmarkResult:
+    """Train and score every leave-one-subject-out fold on a pinned pool."""
     payloads = [(subject_windows, f, model_config, train_config,
-                 iou_threshold, return_params)
-                for f in make_losocv(list(subject_windows))]
-    if jobs > 1:
-        with forked.single_cpu_pool(jobs) as pool:
-            outcomes = list(pool.map(run_fold, *zip(*payloads)))
-    else:
-        outcomes = [run_fold(*p) for p in payloads]
+                 iou_threshold) for f in make_losocv(list(subject_windows))]
+    with forked.single_cpu_pool(len(payloads)) as pool:
+        outcomes = list(pool.map(run_fold, *zip(*payloads)))
     pooled = score([o.labels for o in outcomes], model_config.n_classes,
                    iou_threshold)
     return BenchmarkResult(outcomes=outcomes, loa=pooled.get("loa"))
 
 
-def default_sweep_seeds(mask_ratio: float,
-                        repeated=(0.0, 0.8)) -> list[int]:
-    """Three seeds where the comparison is asserted, one elsewhere."""
-    return [0, 1, 2] if mask_ratio in repeated else [0]
+def default_sweep_seeds(mask_ratio: float) -> list[int]:
+    """Three seeds at the two ratios criterion 6 compares, one elsewhere."""
+    return [0, 1, 2] if mask_ratio in (0.0, 0.8) else [0]
 
 
 @dataclass
@@ -228,8 +221,7 @@ class SweepResult:
 def mask_ratio_sweep(subject_windows: dict, model_config: ModelConfig,
                      train_config: TrainConfig,
                      ratios=SWEEP_RATIOS, seeds_for=default_sweep_seeds,
-                     iou_threshold: float = 0.75,
-                     jobs: int = 1) -> SweepResult:
+                     iou_threshold: float = 0.75) -> SweepResult:
     """LOSOCV benchmark per mask ratio; seed count per ratio via seeds_for."""
     result = SweepResult()
     for ratio in ratios:
@@ -238,7 +230,7 @@ def mask_ratio_sweep(subject_windows: dict, model_config: ModelConfig,
         for seed in seeds:
             cfg = replace(train_config, mask_ratio=ratio, seed=seed)
             bench = losocv_benchmark(subject_windows, model_config, cfg,
-                                     iou_threshold, jobs)
+                                     iou_threshold)
             per_seed.append(bench.mean_macro_sample_f1)
         result.rows.append(SweepRow(ratio, list(seeds), per_seed))
     return result

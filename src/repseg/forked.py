@@ -8,7 +8,8 @@ which inherits the caller's memory (nothing is pickled) and talks to it
 over a buffered stream. Arrays cross as raw bytes (`send`, `receive_into`),
 in an order both sides know. While children run every process uses one BLAS
 thread, as two processes with two threads each oversubscribe two cores.
-`single_cpu_pool` pins each pool worker to a CPU, so its work stays serial.
+`single_cpu_pool` has `processes` workers, each pinned to a CPU of its own,
+so the work inside a worker stays serial.
 """
 
 from __future__ import annotations
@@ -180,14 +181,15 @@ def _pin_to_one_cpu(cpus: list[int], started) -> None:
         set_threads(1)
 
 
-def single_cpu_pool(jobs: int) -> ProcessPoolExecutor:
-    """`jobs` worker processes, each pinned to a CPU of its own where the
-    platform allows. `processes` inside a worker then sees one CPU, so the
-    work stays in that worker: split again, two workers would run four
-    processes on two cores, meeting at every training step."""
+def single_cpu_pool(n_tasks: int) -> ProcessPoolExecutor:
+    """`processes(n_tasks)` worker processes, each pinned to a CPU of its
+    own where the platform allows. `processes` inside a worker then sees one
+    CPU, so the work stays in that worker: split again, two workers would
+    run four processes on two cores, meeting at every training step."""
+    workers = processes(n_tasks)
     if not hasattr(os, "sched_setaffinity"):
-        return ProcessPoolExecutor(max_workers=jobs)
+        return ProcessPoolExecutor(max_workers=workers)
     return ProcessPoolExecutor(
-        max_workers=jobs, initializer=_pin_to_one_cpu,
+        max_workers=workers, initializer=_pin_to_one_cpu,
         initargs=(sorted(os.sched_getaffinity(0)),
                   multiprocessing.Value("i", 0)))

@@ -46,6 +46,11 @@ class TrainingDivergedError(RuntimeError):
         self.ce = ce
         self.mse = mse
 
+    def __reduce__(self):
+        # the message alone is not enough to rebuild one from a pool worker
+        return type(self), (self.epoch, self.step, self.loss, self.ce,
+                            self.mse)
+
 
 @dataclass
 class TrainConfig:

@@ -16,6 +16,7 @@ from repseg.dataio import (REPORT_SCHEMA, _digest, load_checkpoint,
                            write_dataset)
 from repseg.model import Model, ModelConfig
 from repseg.synth import CLASS_NAMES, make_cohort
+from test_train import _no_child_left
 
 CONFIG = {
     "model": dict(d_model=8, n_heads=2, n_layers=1, dropout=0.0,
@@ -106,6 +107,30 @@ def test_train_losocv_writes_checkpoints_and_report(workspace):
         assert model.config.d_model == 8
         curves = fold["loss_curves"]
         assert len(curves["loss"]) == len(curves["epoch"]) == 2
+
+
+def test_train_jobs_flag_is_usage_error(workspace, tmp_path, capsys):
+    # LOSOCV's pool takes its size from the CPU affinity set (taskset)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", str(workspace / "data"), "--losocv",
+              "--config", str(workspace / "config.json"),
+              "--jobs", "2", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_diverging_losocv_fold_is_numerical_failure(workspace, tmp_path,
+                                                    capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {**CONFIG, "train": {**CONFIG["train"], "learning_rate": 1e30}}))
+    out = tmp_path / "o"
+    assert main(["train", "--data", str(workspace / "data"), "--losocv",
+                 "--config", str(config), "--out", str(out)]) == 4
+    assert "numerical failure: non-finite loss" in capsys.readouterr().err
+    assert not out.exists()
+    _no_child_left()
 
 
 def test_train_single_model(workspace, tmp_path):
@@ -407,6 +432,26 @@ def test_missing_dataset_is_data_error(tmp_path, capsys):
     code = main(["evaluate", "--data", str(tmp_path / "nope"), "--oracle"])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "manifest", "config"])
+def test_file_that_is_not_json_is_data_error_naming_it(workspace, tmp_path,
+                                                       capsys, kind):
+    bad = tmp_path / ("manifest.json" if kind == "manifest" else "bad.json")
+    bad.write_text("{")
+    data = str(tmp_path if kind == "manifest" else workspace / "data")
+    good = save_checkpoint(tmp_path / "good.json", Model(
+        ModelConfig(**CONFIG["model"]), rng=np.random.default_rng(0)))
+    report = tmp_path / "report.json"
+    argv = {"checkpoint": ["evaluate", "--data", data, "--checkpoints",
+                           str(good), str(bad), "--report", str(report)],
+            "manifest": ["evaluate", "--data", data, "--oracle",
+                         "--report", str(report)],
+            "config": ["train", "--data", data, "--config", str(bad),
+                       "--out", str(tmp_path / "o")]}[kind]
+    assert main(argv) == 3
+    assert f"error: {bad} is not JSON" in capsys.readouterr().err
+    assert not report.exists() and not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("part", ["top", "model_config", "params", "block"])

@@ -45,7 +45,7 @@ def test_windows_by_subject_shapes(tiny_windows):
 
 def test_run_fold_outcome_structure(tiny_windows):
     fold = Fold("s00", ("s01", "s02"))
-    out = run_fold(tiny_windows, fold, MC, TC, return_params=True)
+    out = run_fold(tiny_windows, fold, MC, TC)
     assert out.fold == fold
     assert 0.0 <= out.scores["sample_accuracy"] <= 1.0
     assert set(out.sample_report) == {"per_class", "macro_f1"}
@@ -98,12 +98,21 @@ def test_default_sweep_seeds():
     assert default_sweep_seeds(0.4) == [0]
 
 
-def test_mask_ratio_sweep_values_do_not_depend_on_jobs(tiny_windows):
-    runs = [mask_ratio_sweep(tiny_windows, MC, TC, ratios=(0.0, 0.5),
-                             seeds_for=lambda r: [0, 1], jobs=jobs)
-            for jobs in (1, 2)]
-    assert [r.per_seed for r in runs[0].rows] \
-        == [r.per_seed for r in runs[1].rows]
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="CPU affinity is a Linux call")
+def test_mask_ratio_sweep_values_do_not_depend_on_the_cpu_count(
+        tiny_windows, monkeypatch):
+    """The pool has a worker per CPU of the affinity set; the values are
+    the same with the real set as with one CPU of it."""
+    def sweep():
+        return [r.per_seed for r in mask_ratio_sweep(
+            tiny_windows, MC, TC, ratios=(0.0, 0.5),
+            seeds_for=lambda r: [0, 1]).rows]
+
+    real = sweep()
+    cpu = min(os.sched_getaffinity(0))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {cpu})
+    assert sweep() == real
 
 
 def _worker_cpus(_):
@@ -115,13 +124,13 @@ def _worker_cpus(_):
                     reason="CPU affinity is a Linux call")
 def test_each_fold_pool_worker_runs_on_one_cpu_of_its_own():
     cpus = os.sched_getaffinity(0)
-    with forked.single_cpu_pool(2) as pool:
+    with forked.single_cpu_pool(6) as pool:
         seen = dict(pool.map(_worker_cpus, range(6)))
     assert all(len(worker) == 1 and worker <= cpus
                for worker in seen.values())
-    if len(cpus) >= 2:
-        assert len(seen) == 2
-        assert len(set.union(*seen.values())) == 2
+    # one worker per CPU, never more, each on a CPU of its own
+    assert len(seen) == forked.processes(6) <= len(cpus)
+    assert len(set.union(*seen.values())) == len(seen)
     assert os.sched_getaffinity(0) == cpus  # the caller is not pinned
 
 

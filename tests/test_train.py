@@ -3,6 +3,7 @@ update, loss bookkeeping identities, shared-encoder gradient flow in both
 directions, and seed determinism."""
 
 import os
+import pickle
 import weakref
 
 import numpy as np
@@ -227,6 +228,16 @@ def test_divergence_raises_with_diagnostics():
     assert exc.value.step >= 1
     assert np.isnan(exc.value.ce)
     assert "ce=" in str(exc.value)
+
+
+def test_divergence_error_keeps_every_field_through_pickle():
+    # a LOSOCV fold diverging in a pool worker reaches the caller pickled
+    error = TrainingDivergedError(2, 7, float("inf"), float("nan"), 1.5)
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is TrainingDivergedError
+    assert str(copy) == str(error)
+    assert (copy.epoch, copy.step, copy.loss, copy.mse) == (2, 7, np.inf, 1.5)
+    assert np.isnan(copy.ce)
 
 
 def test_diverged_step_leaves_the_params_passed_in_untouched():
