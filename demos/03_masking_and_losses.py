@@ -11,8 +11,8 @@ import math
 import numpy as np
 
 from repseg import autodiff as ad
-from repseg.masking import (LossWeights, apply_mask, combined_loss,
-                            cross_entropy, draw_mask, masked_mse, one_hot)
+from repseg.masking import (apply_mask, combined_loss, cross_entropy,
+                            draw_mask, masked_mse, one_hot)
 from repseg.model import SignalWindow
 
 rng = np.random.default_rng(2)
@@ -35,7 +35,7 @@ print(f"uniform CE = {ce.item():.6f} (ln(6)/6 = {math.log(6) / 6:.6f})")
 
 recon = ad.constant(rng.normal(size=(T, N)))
 mse = masked_mse(window.samples, recon, hidden)
-total = combined_loss(ce, mse, LossWeights(eta=500.0))
+total = combined_loss(ce, mse, eta=500.0)
 print(f"MSE = {mse.item():.6f}")
 print(f"total = 500 * CE + MSE = {total.item():.6f}")
 

@@ -18,7 +18,6 @@ from .autodiff import Tensor
 from .model import SignalWindow
 
 __all__ = [
-    "LossWeights",
     "MaskSpec",
     "draw_mask",
     "apply_mask",
@@ -30,13 +29,6 @@ __all__ = [
 ]
 
 LOG_EPS = 1e-12  # probability clamp inside the cross-entropy log
-
-
-@dataclass
-class LossWeights:
-    """Loss mix L = eta * L_CE + L_MSE."""
-
-    eta: float = 500.0
 
 
 @dataclass
@@ -144,7 +136,6 @@ def masked_mse(target: np.ndarray, recon: Tensor,
     return ad.scale(ad.sum_all(hidden), 1.0 / (n_channels * t_len))
 
 
-def combined_loss(ce: Tensor, mse: Tensor,
-                  weights: LossWeights | None = None) -> Tensor:
-    w = weights or LossWeights()
-    return ad.add(ad.scale(ce, w.eta), mse)
+def combined_loss(ce: Tensor, mse: Tensor, eta: float) -> Tensor:
+    """The loss mix eta * ce + mse."""
+    return ad.add(ad.scale(ce, eta), mse)

@@ -12,23 +12,25 @@ splits live here too.
 Both training and `predict` run on every CPU the process may use: the
 caller computes the first share of the work and a forked child (`forked`)
 each of the others. In a training step the worker's share is the second
-half of the batch, and the caller adds the worker's gradients after its own
-in batch order, so the result equals the serial loop bit for bit.
+half of the batch. Caller and worker iterate one step loop
+(`_FoldRun.steps` and `_FoldRun.step_routes`), which draws and orders every
+route alike in both, and the caller adds the worker's gradients after its
+own in batch order, so the result equals the serial loop bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import time
-import typing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from . import forked
-from .masking import (LossWeights, MaskSpec, apply_mask, combined_loss,
-                      cross_entropy, draw_mask, masked_mse, one_hot)
+from .masking import (apply_mask, combined_loss, cross_entropy, draw_mask,
+                      masked_mse, one_hot)
 from .model import Model, ModelConfig, SignalWindow
 
 
@@ -69,15 +71,16 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got "
+                             f"{self.learning_rate}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.mask_ratio <= 1.0:
             raise ValueError(f"mask_ratio must be in [0, 1], got "
                              f"{self.mask_ratio}")
-        if self.eta < 0:
-            raise ValueError("eta must be >= 0")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
         if self.patch_len < 1:
             raise ValueError("patch_len must be >= 1")
 
@@ -180,24 +183,12 @@ def _mean_of(terms: list[float]) -> float:
     return total * (1.0 / len(terms))
 
 
-class _Draws(typing.NamedTuple):
-    """One window's random values, in the order they are drawn."""
-
-    classify_keep: list[np.ndarray] | None
-    mask: MaskSpec
-    reconstruct_keep: list[np.ndarray] | None
-
-    @property
-    def n_routes(self) -> int:
-        """Classification, then reconstruction if a patch is masked."""
-        return 2 if self.mask.masked_patches.size else 1
-
-
 @dataclass
 class _FoldRun:
     """What every process training one fold holds alike: the model, the
     windows, the RNG whose stream fixes every permutation and draw, and how
-    many processes share each batch."""
+    many processes share each batch. Both processes iterate `steps` and
+    `step_routes`, so they agree on every step by construction."""
 
     model: Model
     samples: np.ndarray
@@ -206,79 +197,82 @@ class _FoldRun:
     rng: np.random.Generator
     n_processes: int  # 1, or 2 with a worker running `_serve_fold`
 
-    def batches(self) -> list[np.ndarray]:
-        """One epoch's batches of window indices, freshly permuted."""
-        order = self.rng.permutation(self.samples.shape[0])
+    def steps(self):
+        """Every step of the fold as (epoch, batch of window indices), the
+        windows freshly permuted each epoch."""
         size = self.config.batch_size
-        return [order[i:i + size] for i in range(0, order.size, size)]
+        for epoch in range(1, self.config.epochs + 1):
+            order = self.rng.permutation(self.samples.shape[0])
+            for start in range(0, order.size, size):
+                yield epoch, order[start:start + size]
 
-    def draw(self) -> _Draws:
-        """Draw one window's values as the forward order needs them:
-        classification dropout, the mask, then reconstruction dropout
-        (none without a masked patch, as that route does not run)."""
+    def step_routes(self, tape: ad.Tape, batch: np.ndarray, part: int):
+        """One step as the process computing share `part` of `batch` runs
+        it (0: the caller, 1: the worker). Yields (route, loss) for every
+        route of the batch in batch order, route 0 the classification of a
+        window and 1 its reconstruction, with the loss before the batch
+        weight; a route of the other share yields None instead.
+
+        Every window's values are drawn in the serial loop's order, shared
+        or not: classification dropout, the mask, then reconstruction
+        dropout (none without a masked patch, as that route does not run).
+        A route of the share is backwarded before its loss is yielded, and
+        only the scalar loss outlives the backward, so the route's graph is
+        freed before the next forward."""
+        share = forked.shares(len(batch), self.n_processes)[part]
+        # draw_mask hides round(ratio * n_patches) patches in every window,
+        # so either every window has an MSE term or none does: both means
+        # divide by the batch size
+        weight = 1.0 / len(batch)
+        eta, zero = self.config.eta, ad.constant(np.zeros(()))
         _, window_len, n_channels = self.samples.shape
-        classify_keep = self.model.dropout_keep(window_len, self.rng)
-        mask = draw_mask(window_len, n_channels, self.config.patch_len,
-                         self.config.mask_ratio, self.rng)
-        reconstruct_keep = (self.model.dropout_keep(window_len, self.rng)
-                            if mask.masked_patches.size else None)
-        return _Draws(classify_keep, mask, reconstruct_keep)
-
-    def routes(self, tape: ad.Tape, i: int, draws: _Draws, weight: float):
-        """Forward and backward window `i`'s routes in turn, classification
-        first; yields each route's loss (before the batch weight) right
-        after its backward. No local keeps a route's output past its
-        backward, so the route's graph is freed before the next forward."""
-        sample = self.samples[i]
-        window = SignalWindow(sample)
-        mix = LossWeights(eta=self.config.eta)
-        zero = ad.constant(np.zeros(()))
-        ce = cross_entropy(self.model.classify(window, draws.classify_keep),
-                           self.onehots[i])
-        tape.backward(combined_loss(ad.scale(ce, weight), zero, mix))
-        yield ce.item()
-        if draws.n_routes == 2:
-            mse = masked_mse(sample, self.model.reconstruct(
-                apply_mask(window, draws.mask), draws.reconstruct_keep),
-                draws.mask.sample_mask())
-            tape.backward(combined_loss(zero, ad.scale(mse, weight), mix))
-            yield mse.item()
+        for k, i in enumerate(batch):
+            classify_keep = self.model.dropout_keep(window_len, self.rng)
+            mask = draw_mask(window_len, n_channels, self.config.patch_len,
+                             self.config.mask_ratio, self.rng)
+            masked = mask.masked_patches.size > 0
+            reconstruct_keep = (self.model.dropout_keep(window_len, self.rng)
+                                if masked else None)
+            if not share.start <= k < share.stop:
+                yield from ((route, None) for route in range(1 + masked))
+                continue
+            window = SignalWindow(self.samples[i])
+            ce = cross_entropy(self.model.classify(window, classify_keep),
+                               self.onehots[i])
+            tape.backward(combined_loss(ad.scale(ce, weight), zero, eta))
+            yield 0, ce.item()
+            if masked:
+                mse = masked_mse(self.samples[i], self.model.reconstruct(
+                    apply_mask(window, mask), reconstruct_keep),
+                    mask.sample_mask())
+                tape.backward(combined_loss(zero, ad.scale(mse, weight), eta))
+                yield 1, mse.item()
 
 
 def _serve_fold(run: _FoldRun, stream) -> None:
     """The worker's side of a split fold: every step it takes the caller's
-    parameters (from the second step on), draws every window's values and
-    computes only its own share; then it sends, per window and route in
-    batch order, the loss and which parameters have a gradient (float64
-    and one byte each), then those gradients. A route's gradients are
-    staged until the share is done, so the worker never waits on a caller
-    that is still busy with its own share."""
+    parameters (from the second step on) and runs share 1 of
+    `step_routes`; then it sends, per route of its share in batch order,
+    the loss and which parameters have a gradient (float64 and one byte
+    each), then those gradients. A route's gradients are staged until the
+    share is done, so the worker never waits on a caller that is still
+    busy with its own share."""
     params = list(run.model.params.values())
-    step = 0
-    for _ in range(run.config.epochs):
-        for batch in run.batches():
-            if step:
-                for p in params:
-                    forked.receive_into(stream, p.data)
-            step += 1
-            weight = 1.0 / len(batch)
-            start = forked.shares(len(batch), run.n_processes)[1].start
-            staged = []
-            with ad.Tape() as tape:
-                for k, i in enumerate(batch):
-                    draws = run.draw()
-                    if k < start:
-                        continue
-                    for loss in run.routes(tape, i, draws, weight):
-                        grads = [p.grad for p in params]
-                        for p in params:
-                            p.zero_grad()
-                        staged.append((loss, grads))
-            for loss, grads in staged:
-                head = (np.float64(loss).tobytes()
-                        + bytes(g is not None for g in grads))
-                forked.send(stream, [head,
-                                     *(g for g in grads if g is not None)])
+    for step, (_, batch) in enumerate(run.steps()):
+        if step:
+            for p in params:
+                forked.receive_into(stream, p.data)
+        staged = []
+        with ad.Tape() as tape:
+            for _, loss in run.step_routes(tape, batch, 1):
+                if loss is not None:
+                    staged.append((loss, [p.grad for p in params]))
+                    for p in params:
+                        p.zero_grad()
+        for loss, grads in staged:
+            head = (np.float64(loss).tobytes()
+                    + bytes(g is not None for g in grads))
+            forked.send(stream, [head, *(g for g in grads if g is not None)])
 
 
 class _WorkerRoutes:
@@ -305,56 +299,35 @@ class _WorkerRoutes:
         return float(self.head[:8].view(np.float64)[0])
 
 
-def _run_steps(run: _FoldRun, optimizer: Adam, result: TrainResult,
-               worker: forked.Child | None = None) -> None:
-    """Every step of the fold, alone or with `worker` running `_serve_fold`;
-    fills `result.steps` and `result.epochs`."""
+def _run_steps(run: _FoldRun, optimizer: Adam,
+               worker: forked.Child | None = None) -> list[StepRecord]:
+    """Every step of the fold, alone or with `worker` running `_serve_fold`:
+    the caller runs share 0 of `step_routes` and reads each route that
+    yields None from the worker, so every gradient is added in batch
+    order."""
     params = list(run.model.params.values())
     from_worker = _WorkerRoutes(worker.stream, params) if worker else None
-    step_no = 0
-    for epoch in range(1, run.config.epochs + 1):
-        epoch_steps = []
-        for batch in run.batches():
-            if worker is not None and step_no:
-                forked.send(worker.stream, [p.data for p in params])
-            step_no += 1
-            # draw_mask hides round(ratio * n_patches) patches in every
-            # window, so either every window has an MSE term or none does:
-            # both means divide by the batch size
-            weight = 1.0 / len(batch)
-            end = forked.shares(len(batch), run.n_processes)[0].stop
-            terms = ([], [])  # ce, mse
-            with ad.Tape() as tape:
-                remote = []
-                for k, i in enumerate(batch):
-                    draws = run.draw()
-                    if k >= end:
-                        remote.append(draws.n_routes)
-                        continue
-                    for route, loss in enumerate(
-                            run.routes(tape, i, draws, weight)):
-                        terms[route].append(loss)
-                for n_routes in remote:
-                    for route in range(n_routes):
-                        terms[route].append(from_worker.add_route())
-                ce = _mean_of(terms[0])
-                mse = _mean_of(terms[1]) if terms[1] else 0.0
-                rec = StepRecord(epoch, step_no, ce * run.config.eta + mse,
-                                 ce, mse)
-                if not (np.isfinite(rec.loss) and np.isfinite(rec.ce)
-                        and np.isfinite(rec.mse)):
-                    optimizer.zero_grad()
-                    raise TrainingDivergedError(epoch, step_no, rec.loss,
-                                                rec.ce, rec.mse)
-            optimizer.step()
-            optimizer.zero_grad()
-            epoch_steps.append(rec)
-        result.steps.extend(epoch_steps)
-        result.epochs.append(EpochRecord(
-            epoch,
-            float(np.mean([s.loss for s in epoch_steps])),
-            float(np.mean([s.ce for s in epoch_steps])),
-            float(np.mean([s.mse for s in epoch_steps]))))
+    records = []
+    for step, (epoch, batch) in enumerate(run.steps(), 1):
+        if worker is not None and step > 1:
+            forked.send(worker.stream, [p.data for p in params])
+        terms = ([], [])  # ce, mse
+        with ad.Tape() as tape:
+            for route, loss in run.step_routes(tape, batch, 0):
+                terms[route].append(
+                    from_worker.add_route() if loss is None else loss)
+            ce = _mean_of(terms[0])
+            mse = _mean_of(terms[1]) if terms[1] else 0.0
+            rec = StepRecord(epoch, step, ce * run.config.eta + mse, ce, mse)
+            if not (np.isfinite(rec.loss) and np.isfinite(rec.ce)
+                    and np.isfinite(rec.mse)):
+                optimizer.zero_grad()
+                raise TrainingDivergedError(epoch, step, rec.loss, rec.ce,
+                                            rec.mse)
+        optimizer.step()
+        optimizer.zero_grad()
+        records.append(rec)
+    return records
 
 
 def train_fold(samples: np.ndarray, labels: np.ndarray,
@@ -373,9 +346,10 @@ def train_fold(samples: np.ndarray, labels: np.ndarray,
 
     When `forked.processes` allows two processes and batches hold two or
     more windows, a worker forked once the model exists computes the second
-    share of every batch while the caller computes the first; the caller
-    adds the worker's per-route gradients after its own in batch order, so
-    losses and parameters equal the serial loop's bit for bit.
+    share of every batch while the caller computes the first, both through
+    `_FoldRun.step_routes`; the caller adds the worker's per-route gradients
+    after its own in batch order, so losses and parameters equal the serial
+    loop's bit for bit. Epoch records are the means of their steps' records.
     """
     samples = np.asarray(samples, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -404,7 +378,14 @@ def train_fold(samples: np.ndarray, labels: np.ndarray,
     works = ([functools.partial(_serve_fold, run)]
              if run.n_processes == 2 else [])
     with forked.run(works) as workers:
-        _run_steps(run, optimizer, result, *workers)
+        result.steps = _run_steps(run, optimizer, *workers)
+    for epoch in range(1, config.epochs + 1):
+        steps = [s for s in result.steps if s.epoch == epoch]
+        result.epochs.append(EpochRecord(
+            epoch,
+            float(np.mean([s.loss for s in steps])),
+            float(np.mean([s.ce for s in steps])),
+            float(np.mean([s.mse for s in steps]))))
     result.wall_clock_s = time.perf_counter() - started
     return result
 

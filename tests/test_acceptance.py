@@ -21,8 +21,8 @@ from repseg import cli
 from repseg.dataio import (CHECKPOINT_SCHEMA, MANIFEST_SCHEMA, REPORT_SCHEMA,
                            write_report)
 from repseg.experiments import SWEEP_RATIOS, mask_ratio_sweep
-from repseg.masking import (LossWeights, apply_mask, combined_loss,
-                            cross_entropy, draw_mask, masked_mse, one_hot)
+from repseg.masking import (apply_mask, combined_loss, cross_entropy,
+                            draw_mask, masked_mse, one_hot)
 from repseg.metrics import (Segment, confusion_matrix, count_loa,
                             labels_to_segments, sample_f1, segmental_iou_f1)
 from repseg.model import Model, ModelConfig, SignalWindow, param_shapes
@@ -53,7 +53,7 @@ def test_criterion_1_gradients_match_finite_differences():
     def objective():
         ce = cross_entropy(model.classify(window), onehot)
         mse = masked_mse(window, model.reconstruct(masked), smask)
-        return combined_loss(ce, mse)
+        return combined_loss(ce, mse, TrainConfig().eta)
 
     with ad.Tape() as tape:
         tape.backward(objective())
@@ -95,8 +95,7 @@ def test_criterion_2_loss_identities():
                (0.0, 0.4, 0.9), (1.0, 0.0, 0.0), (500.0, ce, mse_a)]
     for eta, ce_v, mse_v in triples:
         got = combined_loss(ad.constant(np.float64(ce_v)),
-                            ad.constant(np.float64(mse_v)),
-                            LossWeights(eta)).item()
+                            ad.constant(np.float64(mse_v)), eta).item()
         assert got == eta * ce_v + mse_v
 
     print(f"\n[criterion 2] PASS uniform CE {ce:.10f} vs ln(6)/6 "

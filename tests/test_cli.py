@@ -120,6 +120,7 @@ def test_train_jobs_flag_is_usage_error(workspace, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.forked
 def test_diverging_losocv_fold_is_numerical_failure(workspace, tmp_path,
                                                     capsys):
     config = tmp_path / "config.json"
@@ -228,6 +229,28 @@ def test_negative_seed_is_data_error_before_the_dataset_is_read(
         argv += ["--config", str(config)]
     assert main(argv) == 3
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field, given_by, value", [
+    ("eta", "flag", "nan"), ("eta", "flag", "inf"),
+    ("learning_rate", "flag", "nan"), ("learning_rate", "flag", "inf"),
+    ("learning_rate", "config", float("inf")),
+    ("eta", "config", float("nan"))])
+def test_non_finite_eta_or_learning_rate_is_data_error_before_reading(
+        tmp_path, capsys, field, given_by, value):
+    argv = ["train", "--data", str(tmp_path / "no_data"),
+            "--out", str(tmp_path / "o")]
+    if given_by == "flag":
+        argv += [f"--{field.replace('_', '-')}", value]
+    else:
+        config = tmp_path / "config.json"
+        # json writes these as the Infinity and NaN that Python reads back
+        config.write_text(json.dumps(
+            {**CONFIG, "train": {**CONFIG["train"], field: value}}))
+        argv += ["--config", str(config)]
+    assert main(argv) == 3
+    assert f"{field} must be finite" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -647,6 +670,7 @@ def test_directory_given_as_input_file_is_data_error(workspace, tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.forked
 def test_predict_split_leaves_evaluate_and_velocity_reports_unchanged(
         workspace, tmp_path, monkeypatch):
     """Reports of `evaluate` and `velocity --checkpoint` are the same whether

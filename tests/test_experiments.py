@@ -98,6 +98,7 @@ def test_default_sweep_seeds():
     assert default_sweep_seeds(0.4) == [0]
 
 
+@pytest.mark.forked
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="CPU affinity is a Linux call")
 def test_mask_ratio_sweep_values_do_not_depend_on_the_cpu_count(
@@ -120,6 +121,7 @@ def _worker_cpus(_):
     return os.getpid(), os.sched_getaffinity(0)
 
 
+@pytest.mark.forked
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="CPU affinity is a Linux call")
 def test_each_fold_pool_worker_runs_on_one_cpu_of_its_own():

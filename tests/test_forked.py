@@ -11,6 +11,7 @@ from repseg import forked
 from test_train import _no_child_left, can_split
 
 
+@pytest.mark.forked
 def test_shares_are_contiguous_and_larger_first():
     for n_items in range(9):
         for n_parts in range(1, 5):
@@ -30,6 +31,7 @@ def _wait_for_exit(pid: int, timeout_s: float = 30.0) -> None:
         time.sleep(0.01)
 
 
+@pytest.mark.forked
 @can_split
 def test_each_child_exits_once_the_caller_closes_its_end(capfd):
     """A child blocked in `receive_into` sees EOF once the caller closes its

@@ -9,7 +9,6 @@ import fdtools
 from repseg import autodiff as ad
 from repseg.masking import (
     LOG_EPS,
-    LossWeights,
     MaskSpec,
     apply_mask,
     combined_loss,
@@ -179,10 +178,12 @@ def test_combined_loss_linearity():
         ce_v, mse_v = rng.random() * 2, rng.random()
         eta = rng.random() * 1000
         ce, mse = ad.constant(ce_v), ad.constant(mse_v)
-        total = combined_loss(ce, mse, LossWeights(eta=eta)).item()
+        total = combined_loss(ce, mse, eta).item()
         want = eta * ce_v + mse_v
         assert abs(total - want) <= 1e-15 * max(1.0, abs(want))
-    assert LossWeights().eta == 500.0
+    # eta has no default here: TrainConfig states the reference 500
+    with pytest.raises(TypeError):
+        combined_loss(ce, mse)
 
 
 def test_one_hot_roundtrip_and_validation():

@@ -242,7 +242,8 @@ def test_no_backward_writes_into_its_incoming_gradient():
                                one_hot(labels, TINY_CLASSES))
             recon = model.reconstruct(apply_mask(SignalWindow(x), spec),
                                       model.dropout_keep(40, rng))
-            loss = combined_loss(ce, masked_mse(x, recon, spec.sample_mask()))
+            loss = combined_loss(ce, masked_mse(x, recon, spec.sample_mask()),
+                                 500.0)
         tape.backward(loss)
         grads.append({k: p.grad for k, p in model.params.items()})
     guarded, plain = grads

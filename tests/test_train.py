@@ -12,8 +12,8 @@ import pytest
 from repseg import autodiff as ad
 from repseg import forked
 from repseg.dataio import CONFIG_SCHEMA, DataFormatError, _check
-from repseg.masking import (LossWeights, apply_mask, combined_loss,
-                            cross_entropy, draw_mask, masked_mse, one_hot)
+from repseg.masking import (apply_mask, combined_loss, cross_entropy,
+                            draw_mask, masked_mse, one_hot)
 from repseg.model import Model, ModelConfig, SignalWindow, init_params
 from repseg.train import (
     Adam,
@@ -85,7 +85,9 @@ def test_train_config_validation_and_roundtrip():
     assert TrainConfig(**cfg.to_dict()) == cfg
     for bad in [dict(batch_size=0), dict(epochs=0), dict(learning_rate=0.0),
                 dict(seed=-1), dict(mask_ratio=1.5), dict(eta=-1.0),
-                dict(patch_len=0)]:
+                dict(patch_len=0), dict(learning_rate=float("inf")),
+                dict(learning_rate=float("nan")), dict(eta=float("inf")),
+                dict(eta=float("nan"))]:
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     with pytest.raises(DataFormatError,
@@ -240,6 +242,7 @@ def test_divergence_error_keeps_every_field_through_pickle():
     assert np.isnan(copy.ce)
 
 
+@pytest.mark.forked
 def test_diverged_step_leaves_the_params_passed_in_untouched():
     # the backward of every route runs before the step's loss is checked;
     # the gradients it left must not reach the caller's tensors
@@ -300,7 +303,7 @@ def _check_one_step_matches_a_single_tape_batch_loss(monkeypatch, n_cpus):
             mse_terms.append(masked_mse(samples[i], recon,
                                         spec.sample_mask()))
         ce, mse = _tensor_mean(ce_terms), _tensor_mean(mse_terms)
-        loss = combined_loss(ce, mse, LossWeights(eta=cfg.eta))
+        loss = combined_loss(ce, mse, cfg.eta)
     tape.backward(loss)
 
     assert res.steps == [StepRecord(1, 1, loss.item(), ce.item(),
@@ -311,10 +314,12 @@ def _check_one_step_matches_a_single_tape_batch_loss(monkeypatch, n_cpus):
                                    err_msg=k)
 
 
+@pytest.mark.forked
 def test_one_step_matches_a_single_tape_batch_loss(monkeypatch):
     _check_one_step_matches_a_single_tape_batch_loss(monkeypatch, 1)
 
 
+@pytest.mark.forked
 def test_a_split_step_matches_a_single_tape_batch_loss(monkeypatch):
     # the caller computes windows 0 and 1, the worker window 2
     _check_one_step_matches_a_single_tape_batch_loss(monkeypatch, 2)
@@ -349,6 +354,7 @@ def _forwards_after_a_freed_window(monkeypatch, n_windows, n_cpus):
     return alive_at_forward
 
 
+@pytest.mark.forked
 def test_a_window_graph_is_freed_before_the_next_window_forward(
         monkeypatch):
     # every softmax output of window 0 (attention blocks of both routes and
@@ -359,6 +365,7 @@ def test_a_window_graph_is_freed_before_the_next_window_forward(
     assert alive == 0
 
 
+@pytest.mark.forked
 @can_split
 def test_a_window_graph_is_freed_before_the_callers_next_forward_when_split(
         monkeypatch):
@@ -407,6 +414,7 @@ def test_predict_shapes_and_determinism():
     assert np.array_equal(single[0], preds[0])
 
 
+@pytest.mark.forked
 @pytest.mark.parametrize("n_cpus", [1, 2, 3, None],
                          ids=["1cpu", "2cpus", "3cpus", "affinity"])
 @pytest.mark.parametrize("n_windows", [1, 2, 3, 7])
@@ -433,6 +441,7 @@ def blas_threads():
     set_threads(original)
 
 
+@pytest.mark.forked
 @can_split
 def test_predict_runs_blas_on_one_thread_and_restores_the_count(
         monkeypatch, blas_threads):
@@ -453,6 +462,7 @@ def test_predict_runs_blas_on_one_thread_and_restores_the_count(
     assert get_threads() == 3
 
 
+@pytest.mark.forked
 @can_split
 @pytest.mark.parametrize("bad_window, error",
                          [(2, RuntimeError), (0, ValueError)],
@@ -487,18 +497,25 @@ def one_blas_thread():
     set_threads(original)
 
 
+@pytest.mark.forked
 @can_split
-def test_split_training_equals_the_serial_loop(monkeypatch, one_blas_thread):
+@pytest.mark.parametrize("mask_ratio, dropout",
+                         [(0.5, 0.1), (0.0, 0.1), (0.5, 0.0)],
+                         ids=["masked", "unmasked", "no_dropout"])
+def test_split_training_equals_the_serial_loop(monkeypatch, one_blas_thread,
+                                               mask_ratio, dropout):
     # 7 windows in batches of 4 over 2 epochs: steps of 4, 3, 4 and 3
-    # windows, so the caller computes 2 of each and the worker 2 or 1
+    # windows, so the caller computes 2 of each and the worker 2 or 1.
+    # Unmasked, a window has one route; without dropout, no keep-mask is
+    # drawn
     samples, labels = tiny_dataset(n_windows=7)
-    cfg = TrainConfig(batch_size=4, epochs=2, seed=6, mask_ratio=0.5,
+    cfg = TrainConfig(batch_size=4, epochs=2, seed=6, mask_ratio=mask_ratio,
                       patch_len=10)
     results = {}
     for n_cpus in (1, 2):
         forks = _split_across(monkeypatch, n_cpus)
-        results[n_cpus] = train_fold(samples, labels, tiny_model_config(),
-                                     cfg)
+        results[n_cpus] = train_fold(samples, labels,
+                                     tiny_model_config(dropout=dropout), cfg)
         assert len(forks) == n_cpus - 1
         _no_child_left()
     serial, split = results[1], results[2]
@@ -509,6 +526,7 @@ def test_split_training_equals_the_serial_loop(monkeypatch, one_blas_thread):
         assert np.array_equal(split.model.parameters()[k].data, p.data), k
 
 
+@pytest.mark.forked
 def test_batches_of_one_window_train_serially(monkeypatch):
     samples, labels = tiny_dataset(n_windows=3)
     forks = _split_across(monkeypatch, 2)
@@ -521,6 +539,7 @@ def test_batches_of_one_window_train_serially(monkeypatch):
     assert not forks
 
 
+@pytest.mark.forked
 @can_split
 def test_a_nan_in_the_workers_share_diverges_as_the_serial_loop_does(
         monkeypatch):
@@ -562,6 +581,7 @@ def test_a_nan_in_the_workers_share_diverges_as_the_serial_loop_does(
                           equal_nan=True)
 
 
+@pytest.mark.forked
 @can_split
 @pytest.mark.parametrize("in_worker, error",
                          [(True, RuntimeError), (False, ValueError)],
@@ -587,6 +607,7 @@ def test_a_failing_training_share_raises_in_the_caller_and_leaves_no_child(
     _no_child_left()
 
 
+@pytest.mark.forked
 @can_split
 def test_split_training_runs_blas_on_one_thread_and_restores_the_count(
         monkeypatch, blas_threads):
