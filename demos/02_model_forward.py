@@ -17,7 +17,7 @@ config = ModelConfig(d_model=32, n_heads=4, n_layers=2, dropout=0.1,
 rng = np.random.default_rng(1)
 model = Model(config, rng=rng)
 print(f"parameters: {model.param_count()} floats in "
-      f"{len(model.parameters())} tensors")
+      f"{len(model.params)} tensors")
 print(f"influence radius: {config.influence_radius} samples "
       f"({config.tcn_layers} conv layers, dilations 1..{2 ** (config.tcn_layers - 1)})")
 

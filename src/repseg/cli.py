@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .dataio import (REPORT_FORMAT, DataFormatError, load_checkpoint,
                      read_config, read_dataset, save_checkpoint,
                      write_dataset, write_report)
@@ -140,10 +139,9 @@ def cmd_train(args) -> int:
                                  iou_threshold=args.iou_threshold)
         folds = bench.fold_sections()
         for outcome, section in zip(bench.outcomes, folds):
-            params = {k: ad.parameter(v) for k, v in outcome.params.items()}
             path = save_checkpoint(
                 out_dir / f"fold_{outcome.fold.test_subject}.json",
-                Model(model_config, params=params))
+                Model(model_config, params=outcome.params))
             section["checkpoint"] = path.name
             print(f"fold {outcome.fold.test_subject}: "
                   f"macro sample-f1 "

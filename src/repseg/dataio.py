@@ -32,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .metrics import labels_to_segments
 from .model import Model, ModelConfig
 from .synth import CLASS_NAMES, N_CLASSES, Recording, SubjectProfile
@@ -280,7 +279,7 @@ def _checkpoint_payload(model: Model) -> dict:
                 "data": base64.b64encode(
                     p.data.astype("<f8").tobytes(order="C")).decode("ascii"),
             }
-            for name, p in model.parameters().items()
+            for name, p in model.params.items()
         },
     }
 
@@ -291,7 +290,7 @@ def _digest(payload: dict) -> str:
 
 
 def save_checkpoint(path, model: Model) -> Path:
-    bad = [name for name, p in model.parameters().items()
+    bad = [name for name, p in model.params.items()
            if not np.isfinite(p.data).all()]
     if bad:
         raise ValueError(f"refusing to save non-finite parameters {bad}")
@@ -323,7 +322,7 @@ def load_checkpoint(path) -> Model:
         if arr.size != math.prod(block["shape"]):
             raise DataFormatError(f"{path}: parameter {name} has {arr.size} "
                                   f"values for shape {block['shape']}")
-        params[name] = ad.parameter(arr.reshape(block["shape"]))
+        params[name] = arr.reshape(block["shape"])
     return Model(config, params=params)
 
 
@@ -459,20 +458,13 @@ REPORT_SCHEMA = {
     "properties": {
         "format_version": {"const": REPORT_FORMAT},
         "kind": {"const": "run_report"},
-        "command": {"enum": ["generate", "train", "evaluate", "velocity",
-                             "sweep"]},
+        "command": {"enum": ["train", "evaluate", "velocity", "sweep"]},
         "seed": {"type": "integer"},
         "wall_clock_s": {"type": "number"},
         "model_config": {"type": "object"},
         "train_config": {"type": "object"},
         "dataset": {"type": "string"},
         "iou_threshold": {"type": "number"},
-        "segment_counts": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "additionalProperties": {"type": "integer"}},
-        },
         "folds": {"type": "array", "items": _FOLD_SCHEMA},
         "checkpoints": {
             "type": "array",

@@ -98,7 +98,6 @@ class FoldOutcome:
     scores: dict   # the held-out subject's section from `score`
     labels: tuple  # the held-out subject's flat (truth, predicted) labels
     curves: dict
-    wall_clock_s: float
     params: dict  # the trained arrays by parameter name
 
     @property
@@ -136,8 +135,7 @@ def run_fold(subject_windows: dict, fold: Fold, model_config: ModelConfig,
         scores=scores,
         labels=held_out,
         curves=result.curves(),
-        wall_clock_s=result.wall_clock_s,
-        params={k: p.data for k, p in result.model.parameters().items()},
+        params={k: p.data for k, p in result.model.params.items()},
     )
 
 

@@ -10,6 +10,7 @@ from either loss update the same encoder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -154,11 +155,11 @@ def _glorot(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 
 
 def init_params(config: ModelConfig,
-                rng: np.random.Generator) -> dict[str, Tensor]:
+                rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Fresh trainable parameters: Glorot-uniform mats, zero biases, unit
     layer-norm gains. The input embed uses std 0.02 instead of fan scaling
     so raw accelerometer rows (gravity offset ~9.8) enter at O(1)."""
-    params: dict[str, Tensor] = {}
+    params: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(config).items():
         if name == "embed.w":
             data = rng.normal(0.0, 0.02, size=shape)
@@ -168,34 +169,60 @@ def init_params(config: ModelConfig,
             data = np.zeros(shape)
         else:
             data = _glorot(rng, shape)
-        params[name] = ad.parameter(data)
+        params[name] = data
     return params
 
 
 class Model:
-    """Shared-encoder model with classification and reconstruction routes."""
+    """Shared-encoder model with classification and reconstruction routes.
+
+    The model owns one float64 vector `data` that holds every parameter in
+    `param_shapes` order, and each parameter's `.data` is a view of it.
+    The arrays passed as `params` are copied in, so training a model never
+    writes them. Only a model that trains has a gradient vector `grad` of
+    the same layout: `gradient()` makes it and binds every parameter's
+    `.grad` to its view; until then `grad` is None.
+    """
 
     def __init__(self, config: ModelConfig,
-                 params: dict[str, Tensor] | None = None,
+                 params: dict[str, np.ndarray] | None = None,
                  rng: np.random.Generator | None = None):
         self.config = config
+        shapes = param_shapes(config)
         if params is None:
             if rng is None:
                 raise ValueError("pass params or an rng to initialize them")
             params = init_params(config, rng)
-        else:
-            expected = param_shapes(config)
-            got = {k: v.shape for k, v in params.items()}
-            if got != expected:
-                raise ValueError("params do not match the config layout")
-        self.params = params
+        elif {k: np.shape(v) for k, v in params.items()} != shapes:
+            raise ValueError("params do not match the config layout")
+        self.data = np.empty(sum(math.prod(s) for s in shapes.values()))
+        self.params: dict[str, Tensor] = {}
+        for name, view in zip(shapes, self._views(self.data)):
+            view[...] = params[name]
+            self.params[name] = ad.parameter(view)
+        self.grad: np.ndarray | None = None
         self._pe_cache: dict[int, Tensor] = {}
 
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
+    def _views(self, vector: np.ndarray):
+        """`vector` cut into one view per parameter, in `param_shapes`
+        order."""
+        offset = 0
+        for shape in param_shapes(self.config).values():
+            size = math.prod(shape)
+            yield vector[offset:offset + size].reshape(shape)
+            offset += size
+
+    def gradient(self) -> np.ndarray:
+        """The gradient vector, made zeroed on the first call, which binds
+        every parameter's `.grad` to its view."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+            for p, view in zip(self.params.values(), self._views(self.grad)):
+                p.grad = view
+        return self.grad
 
     def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
+        return self.data.size
 
     def _pe(self, t_len: int) -> Tensor:
         if t_len not in self._pe_cache:

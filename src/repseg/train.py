@@ -16,13 +16,15 @@ half of the batch. Caller and worker iterate one step loop
 (`_FoldRun.steps` and `_FoldRun.step_routes`), which draws and orders every
 route alike in both, and the caller adds the worker's gradients after its
 own in batch order, so the result equals the serial loop bit for bit.
+Every parameter lives in one flat vector and every gradient in another
+(`Model.data`, `Model.gradient`), so Adam, the zeroing and each message
+between the processes handle one array.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -111,33 +113,31 @@ EPS = 1e-8
 
 
 class Adam:
-    """Adaptive-moment optimizer with bias correction, state per parameter.
+    """Adaptive-moment optimizer with bias correction (Kingma & Ba) over
+    one flat parameter vector.
 
-    A parameter whose .grad is None is treated as having a zero gradient.
+    `step` updates `data` in place from `grad`, which the caller fills
+    before each step; the moments `m` and `v` are vectors of the same
+    layout. Every operation is element by element, so this makes the float
+    operations of a per-parameter update exactly.
     """
 
-    def __init__(self, params: dict[str, ad.Tensor],
+    def __init__(self, data: np.ndarray, grad: np.ndarray,
                  learning_rate: float = 1e-3):
-        self.params = params
+        self.data = data
+        self.grad = grad
         self.lr = learning_rate
         self.t = 0
-        self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
-
-    def zero_grad(self):
-        for p in self.params.values():
-            p.zero_grad()
+        self.m = np.zeros_like(data)
+        self.v = np.zeros_like(data)
 
     def step(self):
         self.t += 1
-        b1, b2 = BETA1, BETA2
-        c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
-        for name, p in self.params.items():
-            g = p.grad if p.grad is not None else 0.0
-            m = self._m[name] = b1 * self._m[name] + (1.0 - b1) * g
-            v = self._v[name] = b2 * self._v[name] + (1.0 - b2) * (g * g)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+        g = self.grad
+        self.m = BETA1 * self.m + (1.0 - BETA1) * g
+        self.v = BETA2 * self.v + (1.0 - BETA2) * (g * g)
+        self.data -= self.lr * (self.m / (1.0 - BETA1 ** self.t)) / (
+            np.sqrt(self.v / (1.0 - BETA2 ** self.t)) + EPS)
 
 
 @dataclass
@@ -162,7 +162,6 @@ class TrainResult:
     model: Model
     steps: list[StepRecord] = field(default_factory=list)
     epochs: list[EpochRecord] = field(default_factory=list)
-    wall_clock_s: float = 0.0
 
     def curves(self) -> dict:
         """Plot-ready loss curves, one row per epoch."""
@@ -251,88 +250,64 @@ class _FoldRun:
 
 def _serve_fold(run: _FoldRun, stream) -> None:
     """The worker's side of a split fold: every step it takes the caller's
-    parameters (from the second step on) and runs share 1 of
+    parameter vector (from the second step on) and runs share 1 of
     `step_routes`; then it sends, per route of its share in batch order,
-    the loss and which parameters have a gradient (float64 and one byte
-    each), then those gradients. A route's gradients are staged until the
-    share is done, so the worker never waits on a caller that is still
-    busy with its own share."""
-    params = list(run.model.params.values())
+    the loss (float64) and the route's whole gradient vector. A route's
+    gradient is staged until the share is done, so the worker never waits
+    on a caller that is still busy with its own share."""
+    model = run.model
     for step, (_, batch) in enumerate(run.steps()):
         if step:
-            for p in params:
-                forked.receive_into(stream, p.data)
+            forked.receive_into(stream, model.data)
         staged = []
         with ad.Tape() as tape:
             for _, loss in run.step_routes(tape, batch, 1):
                 if loss is not None:
-                    staged.append((loss, [p.grad for p in params]))
-                    for p in params:
-                        p.zero_grad()
-        for loss, grads in staged:
-            head = (np.float64(loss).tobytes()
-                    + bytes(g is not None for g in grads))
-            forked.send(stream, [head, *(g for g in grads if g is not None)])
-
-
-class _WorkerRoutes:
-    """The caller's end of the worker's stream (see `_serve_fold`)."""
-
-    def __init__(self, stream, params: list[ad.Tensor]):
-        self.stream = stream
-        self.head = np.empty(8 + len(params), dtype=np.uint8)
-        # every gradient is read into one buffer the size of the largest
-        # parameter, never staged whole
-        buffer = np.empty(max(p.size for p in params))
-        self.slots = [(p, buffer[:p.size].reshape(p.shape)) for p in params]
-
-    def add_route(self) -> float:
-        """Read the next route and add its gradients into `.grad`; returns
-        its loss. Every parameter is read once per route forward, so a
-        route reaches each gradient as one term, and this is the add the
-        caller's own tape would have made."""
-        forked.receive_into(self.stream, self.head)
-        for (p, grad), has_grad in zip(self.slots, self.head[8:]):
-            if has_grad:
-                forked.receive_into(self.stream, grad)
-                p.accumulate_grad(grad)
-        return float(self.head[:8].view(np.float64)[0])
+                    staged.append((np.float64(loss), model.grad.copy()))
+                    model.grad.fill(0.0)
+        for route in staged:
+            forked.send(stream, route)
 
 
 def _run_steps(run: _FoldRun, optimizer: Adam,
                worker: forked.Child | None = None) -> list[StepRecord]:
     """Every step of the fold, alone or with `worker` running `_serve_fold`:
-    the caller runs share 0 of `step_routes` and reads each route that
-    yields None from the worker, so every gradient is added in batch
-    order."""
-    params = list(run.model.params.values())
-    from_worker = _WorkerRoutes(worker.stream, params) if worker else None
+    the caller runs share 0 of `step_routes`, and for each route that
+    yields None it reads the worker's loss and gradient vector and adds
+    the vector to its own, so every gradient is added in batch order. A
+    route reaches each parameter as one term, and the parameters it does
+    not reach add +0.0, which leaves any sum unchanged."""
+    grad = optimizer.grad
+    # a worker's route as it arrives: the loss, then the gradient vector
+    received = np.empty(1 + grad.size) if worker is not None else None
     records = []
     for step, (epoch, batch) in enumerate(run.steps(), 1):
         if worker is not None and step > 1:
-            forked.send(worker.stream, [p.data for p in params])
+            forked.send(worker.stream, [optimizer.data])
         terms = ([], [])  # ce, mse
         with ad.Tape() as tape:
             for route, loss in run.step_routes(tape, batch, 0):
-                terms[route].append(
-                    from_worker.add_route() if loss is None else loss)
+                if loss is None:
+                    forked.receive_into(worker.stream, received)
+                    grad += received[1:]
+                    loss = float(received[0])
+                terms[route].append(loss)
             ce = _mean_of(terms[0])
             mse = _mean_of(terms[1]) if terms[1] else 0.0
             rec = StepRecord(epoch, step, ce * run.config.eta + mse, ce, mse)
             if not (np.isfinite(rec.loss) and np.isfinite(rec.ce)
                     and np.isfinite(rec.mse)):
-                optimizer.zero_grad()
                 raise TrainingDivergedError(epoch, step, rec.loss, rec.ce,
                                             rec.mse)
         optimizer.step()
-        optimizer.zero_grad()
+        grad.fill(0.0)
         records.append(rec)
     return records
 
 
 def train_fold(samples: np.ndarray, labels: np.ndarray,
                model_config: ModelConfig, config: TrainConfig,
-               params: dict[str, ad.Tensor] | None = None) -> TrainResult:
+               params: dict[str, np.ndarray] | None = None) -> TrainResult:
     """Train on (W, T, N) windows with (W, T) integer labels.
 
     Each step: classification sees the unmasked window, reconstruction sees
@@ -341,8 +316,8 @@ def train_fold(samples: np.ndarray, labels: np.ndarray,
     backward per window and route, each run as soon as its loss exists. With
     an empty mask the reconstruction term is exactly zero, so that route is
     skipped and only the classification loss trains the network. A step
-    whose loss is not finite raises TrainingDivergedError before the update,
-    with the gradients cleared.
+    whose loss is not finite raises TrainingDivergedError before the update.
+    The model copies `params`, so the caller's arrays are never written.
 
     When `forked.processes` allows two processes and batches hold two or
     more windows, a worker forked once the model exists computes the second
@@ -368,13 +343,12 @@ def train_fold(samples: np.ndarray, labels: np.ndarray,
     rng = np.random.default_rng(config.seed)
     model = Model(model_config, params=params,
                   rng=None if params is not None else rng)
-    optimizer = Adam(model.parameters(), config.learning_rate)
+    optimizer = Adam(model.data, model.gradient(), config.learning_rate)
     run = _FoldRun(model, samples,
                    [one_hot(labels[i], model_config.n_classes)
                     for i in range(n_windows)], config, rng,
                    forked.processes(min(2, config.batch_size, n_windows)))
     result = TrainResult(model=model)
-    started = time.perf_counter()
     works = ([functools.partial(_serve_fold, run)]
              if run.n_processes == 2 else [])
     with forked.run(works) as workers:
@@ -386,7 +360,6 @@ def train_fold(samples: np.ndarray, labels: np.ndarray,
             float(np.mean([s.loss for s in steps])),
             float(np.mean([s.ce for s in steps])),
             float(np.mean([s.mse for s in steps]))))
-    result.wall_clock_s = time.perf_counter() - started
     return result
 
 

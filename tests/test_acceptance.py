@@ -58,7 +58,7 @@ def test_criterion_1_gradients_match_finite_differences():
     with ad.Tape() as tape:
         tape.backward(objective())
     worst, checked = fdtools.max_rel_error(
-        model.parameters(), lambda: objective().item(), h=1e-5)
+        model.params, lambda: objective().item(), h=1e-5)
     elapsed = time.perf_counter() - t0
 
     assert checked == model.param_count()
@@ -132,7 +132,7 @@ def test_criterion_3_tcn_influence_radius():
 
     # all-positive weights on a positive input: every relu stays live, so
     # the perturbation reaches exactly the closed interval centre +- 127
-    positive = {name: ad.parameter(np.full(shape, 0.1))
+    positive = {name: np.full(shape, 0.1)
                 for name, shape in param_shapes(mc).items()}
     feats = np.abs(rng.normal(size=(512, mc.d_model))) + 0.5
     rows = changed_rows(Model(mc, params=positive), feats)

@@ -126,9 +126,9 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     jsonschema.validate(json.loads(path.read_text()), CHECKPOINT_SCHEMA)
     loaded = load_checkpoint(path)
     assert loaded.config == model.config
-    assert set(loaded.parameters()) == set(model.parameters())
-    for k, p in model.parameters().items():
-        got = loaded.parameters()[k]
+    assert set(loaded.params) == set(model.params)
+    for k, p in model.params.items():
+        got = loaded.params[k]
         assert got.data.dtype == np.float64
         assert np.array_equal(got.data, p.data)
         assert got.requires_grad
@@ -152,7 +152,7 @@ def test_checkpoint_corruption_detected(tmp_path):
 
 def test_checkpoint_refuses_non_finite_parameters(tmp_path):
     model = Model(ModelConfig(**TINY), rng=np.random.default_rng(3))
-    model.parameters()["embed.b"].data[0] = np.inf
+    model.params["embed.b"].data[0] = np.inf
     with pytest.raises(ValueError, match="embed.b"):
         save_checkpoint(tmp_path / "ckpt.json", model)
     assert not (tmp_path / "ckpt.json").exists()

@@ -20,6 +20,7 @@ from repseg.model import (
     param_shapes,
     positional_encoding,
 )
+from repseg.train import TrainConfig, train_fold
 
 TINY = dict(d_model=8, n_heads=2, n_layers=1, dropout=0.1, window_len=40,
             ffn_dim=16, tcn_layers=3, tcn_channels=4)
@@ -183,10 +184,44 @@ def test_params_layout_validation():
     params = init_params(cfg, np.random.default_rng(0))
     Model(cfg, params=params)  # matching layout accepted
     bad = dict(params)
-    bad["embed.w"] = ad.parameter(np.zeros((6, 7)))
+    bad["embed.w"] = np.zeros((6, 7))
     with pytest.raises(ValueError):
         Model(cfg, params=bad)
     assert set(param_shapes(cfg)) == set(params)
+
+
+@pytest.mark.forked  # train_fold splits its batch of two over two CPUs
+def test_parameters_and_gradients_are_views_of_two_flat_vectors():
+    cfg = ModelConfig(**TINY)
+    params = init_params(cfg, np.random.default_rng(0))
+    start = {k: v.copy() for k, v in params.items()}
+    model = Model(cfg, params=params)
+    assert model.grad is None  # a model built for inference has none
+    grad = model.gradient()
+    assert model.gradient() is grad is model.grad
+    assert model.data.shape == grad.shape == (model.param_count(),)
+    offset = 0
+    for name, shape in param_shapes(cfg).items():
+        p, size = model.params[name], int(np.prod(shape))
+        for view, vector in ((p.data, model.data), (p.grad, grad)):
+            assert view.shape == shape
+            assert np.shares_memory(view, vector[offset:offset + size])
+            assert not np.shares_memory(view, vector[:offset])
+            assert not np.shares_memory(view, vector[offset + size:])
+        assert np.array_equal(p.data, params[name])
+        offset += size
+    assert offset == model.data.size
+    assert not any(np.shares_memory(model.data, v) for v in params.values())
+
+    # training writes only its own copy of the arrays passed in
+    rng = np.random.default_rng(1)
+    labels = rng.integers(0, cfg.n_classes, size=(2, cfg.window_len))
+    res = train_fold(rng.standard_normal((2, cfg.window_len, 6)), labels,
+                     cfg, TrainConfig(batch_size=2, epochs=1, patch_len=10),
+                     params=params)
+    assert not np.array_equal(res.model.data, model.data)
+    for name, v in params.items():
+        assert np.array_equal(v, start[name]), name
 
 
 def test_sampled_fd_gradients_through_both_routes():

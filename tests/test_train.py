@@ -113,51 +113,47 @@ def test_make_losocv():
 
 def test_adam_matches_hand_formula():
     rng = np.random.default_rng(0)
-    w0 = rng.standard_normal((3, 2))
-    p = ad.parameter(w0.copy())
-    opt = Adam({"w": p}, learning_rate=0.01)
+    w0 = rng.standard_normal(6)
+    data, grad = w0.copy(), np.empty(6)
+    opt = Adam(data, grad, learning_rate=0.01)
     m = np.zeros_like(w0)
     v = np.zeros_like(w0)
     x = w0.copy()
     for t in range(1, 4):
-        g = rng.standard_normal((3, 2))
-        p.grad = g.copy()
+        g = rng.standard_normal(6)
+        grad[:] = g
         opt.step()
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         x = x - 0.01 * (m / (1 - 0.9 ** t)) / (
             np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
-        assert np.allclose(p.data, x, atol=1e-15)
+        assert np.allclose(data, x, atol=1e-15)
 
 
 def test_adam_zero_gradient_is_a_no_op():
-    p = ad.parameter(np.array([1.0, -2.0]))
-    opt = Adam({"w": p})
-    opt.step()  # grad is None -> treated as zero
-    assert np.array_equal(p.data, [1.0, -2.0])
-    p.grad = np.zeros(2)
+    data = np.array([1.0, -2.0])
+    opt = Adam(data, np.zeros(2))
     opt.step()
-    assert np.array_equal(p.data, [1.0, -2.0])
+    assert np.array_equal(data, [1.0, -2.0])
 
 
 def test_adam_first_step_magnitude():
-    p = ad.parameter(np.array(3.0))
-    opt = Adam({"w": p}, learning_rate=0.05)
-    p.grad = np.array(0.7)
+    data = np.array([3.0])
+    opt = Adam(data, np.array([0.7]), learning_rate=0.05)
     opt.step()
     # bias-corrected first step moves by ~lr against the gradient sign
-    assert p.data == pytest.approx(3.0 - 0.05, abs=1e-8)
+    assert data[0] == pytest.approx(3.0 - 0.05, abs=1e-8)
 
 
 def test_adam_converges_on_quadratic_bowl():
-    p = ad.parameter(np.array(3.0))
-    opt = Adam({"w": p}, learning_rate=0.05)
+    data, grad = np.array([3.0]), np.empty(1)
+    opt = Adam(data, grad, learning_rate=0.05)
     for _ in range(500):
-        p.grad = 2.0 * p.data.copy()
+        grad[:] = 2.0 * data
         opt.step()
-        if abs(p.data) < 1e-3:
+        if abs(data[0]) < 1e-3:
             break
-    assert abs(p.data) < 1e-3
+    assert abs(data[0]) < 1e-3
 
 
 def test_loss_records_satisfy_combination_identity():
@@ -181,21 +177,18 @@ def test_fixed_seed_reproduces_loss_curves():
     b = train_fold(samples, labels, tiny_model_config(), cfg)
     assert [(s.loss, s.ce, s.mse) for s in a.steps] \
         == [(s.loss, s.ce, s.mse) for s in b.steps]
-    for k in a.model.parameters():
-        assert np.array_equal(a.model.parameters()[k].data,
-                              b.model.parameters()[k].data)
+    assert np.array_equal(a.model.data, b.model.data)
 
 
 def test_mask_ratio_zero_keeps_reconstruction_params_fixed():
     samples, labels = tiny_dataset()
     mc = tiny_model_config(dropout=0.0)
-    before = init_params(mc, np.random.default_rng(3))
-    start = {k: p.data.copy() for k, p in before.items()}
+    start = init_params(mc, np.random.default_rng(3))
     cfg = TrainConfig(batch_size=4, epochs=2, seed=3, mask_ratio=0.0,
                       patch_len=10)
-    res = train_fold(samples, labels, mc, cfg, params=before)
+    res = train_fold(samples, labels, mc, cfg, params=start)
     assert all(s.mse == 0.0 for s in res.steps)
-    for k, p in res.model.parameters().items():
+    for k, p in res.model.params.items():
         if k.startswith("recon."):
             assert np.array_equal(p.data, start[k])  # no gradient ever
         else:
@@ -206,12 +199,11 @@ def test_encoder_trains_through_reconstruction_alone():
     # eta = 0 silences the classification loss; the encoder must still move
     samples, labels = tiny_dataset()
     mc = tiny_model_config(dropout=0.0)
-    params = init_params(mc, np.random.default_rng(4))
-    start = {k: p.data.copy() for k, p in params.items()}
+    start = init_params(mc, np.random.default_rng(4))
     cfg = TrainConfig(batch_size=4, epochs=1, seed=4, mask_ratio=0.8,
                       eta=0.0, patch_len=10)
-    res = train_fold(samples, labels, mc, cfg, params=params)
-    moved = [k for k, p in res.model.parameters().items()
+    res = train_fold(samples, labels, mc, cfg, params=start)
+    moved = [k for k, p in res.model.params.items()
              if not np.array_equal(p.data, start[k])]
     assert any(k.startswith("enc0.") for k in moved)
     assert any(k.startswith("embed.") for k in moved)
@@ -245,20 +237,19 @@ def test_divergence_error_keeps_every_field_through_pickle():
 @pytest.mark.forked
 def test_diverged_step_leaves_the_params_passed_in_untouched():
     # the backward of every route runs before the step's loss is checked;
-    # the gradients it left must not reach the caller's tensors
+    # the gradients it left must not reach the caller's arrays
     samples, labels = tiny_dataset()
     samples[2, 7, 0] = np.nan
     mc = tiny_model_config()
     params = init_params(mc, np.random.default_rng(5))
-    start = {k: p.data.copy() for k, p in params.items()}
+    start = {k: v.copy() for k, v in params.items()}
     cfg = TrainConfig(batch_size=4, epochs=1, seed=5, mask_ratio=0.5,
                       patch_len=10)
     with pytest.raises(TrainingDivergedError) as exc:
         train_fold(samples, labels, mc, cfg, params=params)
     assert exc.value.step == 1
-    for k, p in params.items():
-        assert np.array_equal(p.data, start[k]), k
-        assert p.grad is None, k
+    for k, v in params.items():
+        assert np.array_equal(v, start[k]), k
 
 
 def _tensor_mean(terms):
@@ -275,19 +266,15 @@ def _check_one_step_matches_a_single_tape_batch_loss(monkeypatch, n_cpus):
     mc = tiny_model_config()  # dropout on: the RNG order must be kept
     cfg = TrainConfig(batch_size=3, epochs=1, seed=8, mask_ratio=0.5,
                       patch_len=10)
-    start = {k: p.data.copy()
-             for k, p in init_params(mc, np.random.default_rng(2)).items()}
-    grads = {}
-    monkeypatch.setattr(Adam, "step", lambda opt: grads.update(
-        {k: p.grad.copy() for k, p in opt.params.items()}))
+    start = init_params(mc, np.random.default_rng(2))
+    grads = []
+    monkeypatch.setattr(Adam, "step",
+                        lambda opt: grads.append(opt.grad.copy()))
     forks = _split_across(monkeypatch, n_cpus)
-    res = train_fold(samples, labels, mc, cfg,
-                     params={k: ad.parameter(v.copy())
-                             for k, v in start.items()})
+    res = train_fold(samples, labels, mc, cfg, params=start)
     assert len(forks) == (n_cpus - 1 if SPLITS else 0)
 
-    model = Model(mc, params={k: ad.parameter(v.copy())
-                              for k, v in start.items()})
+    model = Model(mc, params=start)
     rng = np.random.default_rng(cfg.seed)
     ce_terms, mse_terms = [], []
     with ad.Tape() as tape:
@@ -308,10 +295,12 @@ def _check_one_step_matches_a_single_tape_batch_loss(monkeypatch, n_cpus):
 
     assert res.steps == [StepRecord(1, 1, loss.item(), ce.item(),
                                     mse.item())]
-    assert grads.keys() == model.params.keys()
+    # the step's gradient vector, read through the trained model's views
+    assert len(grads) == 1
+    res.model.grad[:] = grads[0]
     for k, p in model.params.items():
-        np.testing.assert_allclose(grads[k], p.grad, rtol=1e-12, atol=0,
-                                   err_msg=k)
+        np.testing.assert_allclose(res.model.params[k].grad, p.grad,
+                                   rtol=1e-12, atol=0, err_msg=k)
 
 
 @pytest.mark.forked
@@ -522,8 +511,8 @@ def test_split_training_equals_the_serial_loop(monkeypatch, one_blas_thread,
     assert len(serial.steps) == 4
     assert split.steps == serial.steps
     assert split.epochs == serial.epochs
-    for k, p in serial.model.parameters().items():
-        assert np.array_equal(split.model.parameters()[k].data, p.data), k
+    for k, p in serial.model.params.items():
+        assert np.array_equal(split.model.params[k].data, p.data), k
 
 
 @pytest.mark.forked
@@ -562,16 +551,15 @@ def test_a_nan_in_the_workers_share_diverges_as_the_serial_loop_does(
 
         monkeypatch.setattr(Model, "classify", noting_classify)
         params = init_params(mc, np.random.default_rng(5))
-        start = {k: p.data.copy() for k, p in params.items()}
+        start = {k: v.copy() for k, v in params.items()}
         forks = _split_across(monkeypatch, n_cpus)
         with pytest.raises(TrainingDivergedError) as exc:
             train_fold(samples, labels, mc, cfg, params=params)
         errors[n_cpus] = exc.value
         assert len(forks) == n_cpus - 1
         assert any(seen_nan) == (n_cpus == 1)
-        for k, p in params.items():
-            assert np.array_equal(p.data, start[k]), k
-            assert p.grad is None, k
+        for k, v in params.items():
+            assert np.array_equal(v, start[k]), k
         _no_child_left()
     serial, split = errors[1], errors[2]
     assert (split.epoch, split.step) == (serial.epoch, serial.step) == (1, 1)
