@@ -17,8 +17,8 @@ leaf.
 What the tape keeps: per op, the output's uid, each input's uid (plus the
 tensor itself only for a leaf, whose `.grad` it fills) and the backward
 closure. A closure captures only the arrays its gradient formula reads, so
-an intermediate that no backward reads (an attention logit block feeding
-`softmax_rows`, say) is freed as soon as the forward code drops it.
+an intermediate that no backward reads (the unscaled queries feeding
+`scale`, say) is freed as soon as the forward code drops it.
 `backward` pops each record once it has run, releasing that closure's
 arrays. No backward writes into the gradient it receives, and intermediate
 gradients are summed into fresh arrays, because `add` hands one array to
@@ -55,6 +55,7 @@ __all__ = [
     "relu",
     "log_clamped",
     "softmax_rows",
+    "softmax_matmul",
     "layer_norm",
     "dilated_conv1d",
     "sum_all",
@@ -365,6 +366,55 @@ def softmax_rows(a: Tensor) -> Tensor:
         return (out,)
 
     return _make(s, (a,), backward)
+
+
+# Bytes of one row tile of `softmax_matmul`'s output, so the tile the matmul
+# writes is still in L2 (4 MiB per core on the reference Xeon) when the
+# softmax passes over it. A 160-column block (1.25 KiB per row) fits in one
+# tile; an 800-column one (6.25 KiB per row) takes 40-row tiles.
+SOFTMAX_TILE_BYTES = 256 << 10
+
+
+def softmax_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """softmax_rows(matmul(a, b)) as one node, one row tile at a time.
+
+    Each tile of the (T, S) output is filled by the matmul and then shifted
+    by its row max, exponentiated and normalised in place while it is in
+    cache, with `softmax_rows`' arithmetic, so no logit block exists apart
+    from the probabilities, which backward keeps as `softmax_rows` does.
+    Backward forms each tile's dZ = P * (g - rowdot(g, P)) in one reused
+    buffer and accumulates dA and dB from it; with a single tile it makes
+    the float operations of the two separate nodes.
+    """
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ValueError(f"softmax_matmul shape mismatch: {a.shape} @ "
+                         f"{b.shape}")
+    a_data, b_data = a.data, b.data
+    t_len, s_len = a.shape[0], b.shape[1]
+    rows = max(1, SOFTMAX_TILE_BYTES // (8 * max(s_len, 1)))
+    tiles = [slice(lo, min(lo + rows, t_len)) for lo in range(0, t_len, rows)]
+    p = np.empty((t_len, s_len))
+    for sl in tiles:
+        tile = p[sl]
+        np.matmul(a_data[sl], b_data, out=tile)
+        tile -= tile.max(axis=1, keepdims=True)
+        np.exp(tile, out=tile)
+        tile *= 1.0 / tile.sum(axis=1, keepdims=True)
+
+    def backward(g):
+        g_a = np.empty_like(a_data)
+        g_b = np.zeros_like(b_data)
+        dz = np.empty((min(rows, t_len), s_len))
+        for sl in tiles:
+            dz_tile = dz[:sl.stop - sl.start]
+            np.subtract(g[sl], np.einsum("ij,ij->i", g[sl], p[sl])[:, None],
+                        out=dz_tile)
+            dz_tile *= p[sl]
+            np.matmul(dz_tile, b_data.T, out=g_a[sl])
+            g_b += a_data[sl].T @ dz_tile
+        return (g_a, g_b)
+
+    return _make(p, (a, b), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import (REPORT_FORMAT, DataFormatError, load_checkpoint,
+from .dataio import (REPORT_FORMAT, DataFormatError, Dataset, load_checkpoint,
                      read_config, read_dataset, save_checkpoint,
                      write_dataset, write_report)
 from .experiments import (aggregate, evaluate_model, losocv_benchmark, score,
@@ -174,6 +174,17 @@ def _fmt(x) -> str:
     return "n/a" if x is None else f"{x:.4f}"
 
 
+def _check_fits(path: Path, model: Model, dataset: Dataset) -> None:
+    """DataFormatError naming the checkpoint file unless its model reads
+    the dataset's channels and predicts its classes."""
+    cfg = model.config
+    if (cfg.n_channels, cfg.n_classes) \
+            != (dataset.recordings[0].signal.shape[1], N_CLASSES):
+        raise DataFormatError(
+            f"{path.name}: checkpoint expects {cfg.n_channels} channels "
+            f"and {cfg.n_classes} classes")
+
+
 def cmd_evaluate(args) -> int:
     started = time.perf_counter()
     if not (args.oracle or args.checkpoints):
@@ -192,13 +203,8 @@ def cmd_evaluate(args) -> int:
         rows.append({"checkpoint": "oracle(truth)",
                      **score(truth, N_CLASSES, args.iou_threshold)})
     for path, model in models:
-        cfg = model.config
-        if (cfg.n_channels, cfg.n_classes) \
-                != (dataset.recordings[0].signal.shape[1], N_CLASSES):
-            raise DataFormatError(
-                f"{path.name}: checkpoint expects {cfg.n_channels} channels "
-                f"and {cfg.n_classes} classes")
-        windows = windows_by_subject(dataset, cfg.window_len)
+        _check_fits(path, model, dataset)
+        windows = windows_by_subject(dataset, model.config.window_len)
         scores, _ = evaluate_model(model, windows, args.iou_threshold)
         rows.append({"checkpoint": path.name, **scores})
 
@@ -219,18 +225,22 @@ def cmd_evaluate(args) -> int:
 
 def cmd_velocity(args) -> int:
     started = time.perf_counter()
+    model = None
+    if not args.use_true_labels:
+        if not args.checkpoint:
+            raise DataFormatError("pass --checkpoint or --use-true-labels")
+        # the checkpoint is checked before the CSV is parsed
+        model = load_checkpoint(args.checkpoint)
     dataset = read_dataset(args.data, subjects=[args.subject])
     rec = dataset.by_subject(args.subject)
     report = _report_skeleton("velocity", args.seed, started)
     report["dataset"] = str(args.data)
     report["subject"] = args.subject
 
-    if args.use_true_labels:
+    if model is None:
         segments = rec.segments
     else:
-        if not args.checkpoint:
-            raise DataFormatError("pass --checkpoint or --use-true-labels")
-        model = load_checkpoint(args.checkpoint)
+        _check_fits(Path(args.checkpoint), model, dataset)
         samples, _ = windows_by_subject(
             dataset, model.config.window_len)[args.subject]
         segments = labels_to_segments(predict(model, samples).reshape(-1))

@@ -27,6 +27,7 @@ import math
 import os
 import re
 import typing
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -201,27 +202,61 @@ def write_dataset(out_dir, recordings: list[Recording],
     return path
 
 
+# one CSV row as `np.loadtxt` parses it: the index and the label must be
+# integer literals, the six samples float literals
+_CSV_ROW = np.dtype([("t_index", np.int64), ("samples", np.float64, (6,)),
+                     ("label", np.int64)])
+
+
+def _parse_rows(lines: list[str], max_rows: int) -> np.ndarray:
+    """The rows of `lines` as `_CSV_ROW` records, read by numpy's C parser;
+    ValueError at the first line that is blank or not one row."""
+    if "" in lines:  # np.loadtxt would skip a blank line
+        raise ValueError("blank line")
+    with warnings.catch_warnings():
+        # no data rows is a count for the caller to check, not a warning
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, dtype=_CSV_ROW, delimiter=",",
+                          comments=None, ndmin=1, max_rows=max_rows)
+
+
+def _first_bad_line(lines: list[str]) -> int:
+    """The index of the first line that `_parse_rows` refuses alone, in
+    lines it refused together."""
+    for n, line in enumerate(lines):
+        try:
+            _parse_rows([line], 1)
+        except ValueError:
+            return n
+    raise AssertionError("every line parses alone")
+
+
 def _read_subject_csv(path: Path, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(CSV_COLUMNS):
-            raise DataFormatError(f"{path.name}: bad header {header}")
+    """Signal (rows, 6) and labels (rows,) of one subject's CSV, parsed in
+    one call and then checked as a whole; each error names the file and,
+    where there is one, the first bad row."""
+    with open(path) as fh:
         # a row takes at least 16 bytes ("0,0,0,0,0,0,0,0\n"), so the file
-        # bounds the arrays whatever `rows` the manifest claims
+        # bounds the rows read whatever `rows` the manifest claims
         capacity = min(rows, os.fstat(fh.fileno()).st_size // 16)
-        signal = np.empty((capacity, 6))
-        labels = np.empty(capacity, dtype=np.int64)
-        n = 0
-        for row in reader:
-            if n >= capacity:
-                raise DataFormatError(f"{path.name}: more rows than manifest "
-                                      f"declares ({rows})")
-            if len(row) != len(CSV_COLUMNS) or int(row[0]) != n:
-                raise DataFormatError(f"{path.name}: bad row {n}")
-            signal[n] = [float(v) for v in row[1:7]]
-            labels[n] = int(row[7])
-            n += 1
+        lines = fh.read().splitlines()
+    header = lines.pop(0).split(",") if lines else None
+    if header != list(CSV_COLUMNS):
+        raise DataFormatError(f"{path.name}: bad header {header}")
+    try:
+        table = _parse_rows(lines, capacity + 1)
+    except ValueError:
+        raise DataFormatError(
+            f"{path.name}: bad row {_first_bad_line(lines)}") from None
+    n = table.size
+    if n > capacity:
+        raise DataFormatError(f"{path.name}: more rows than manifest "
+                              f"declares ({rows})")
+    misnumbered = np.flatnonzero(table["t_index"] != np.arange(n))
+    if misnumbered.size:
+        raise DataFormatError(f"{path.name}: bad row {misnumbered[0]}")
+    signal = np.ascontiguousarray(table["samples"])
+    labels = np.ascontiguousarray(table["label"])
     if n != rows:
         raise DataFormatError(f"{path.name}: {n} rows, manifest says {rows}")
     bad = ~np.isfinite(signal).all(axis=1)

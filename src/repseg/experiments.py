@@ -81,14 +81,19 @@ def aggregate(sections: list[dict]) -> dict:
 
 def evaluate_model(model: Model, subject_windows: dict,
                    iou_threshold: float = 0.75) -> tuple[dict, list]:
-    """Predict each subject's windows, then `score` them per subject.
+    """Predict every subject's windows, then `score` them per subject.
 
-    Returns the scoring section and the per-subject (truth, predicted) flat
-    label arrays it scored, in `subject_windows` order.
+    The windows go to one `predict` call, stacked in `subject_windows`
+    order, so a split forks once however many subjects there are; the
+    labels are then cut back per subject. Returns the scoring section and
+    the per-subject (truth, predicted) flat label arrays it scored, in
+    `subject_windows` order.
     """
-    labels = [(np.asarray(truth, dtype=np.int64).reshape(-1),
-               predict(model, samples).reshape(-1))
-              for samples, truth in subject_windows.values()]
+    stacks = list(subject_windows.values())
+    predicted = predict(model, np.concatenate([s for s, _ in stacks]))
+    edges = np.cumsum([len(s) for s, _ in stacks])[:-1]
+    labels = [(np.asarray(truth, dtype=np.int64).reshape(-1), pred.reshape(-1))
+              for (_, truth), pred in zip(stacks, np.split(predicted, edges))]
     return score(labels, model.config.n_classes, iou_threshold), labels
 
 

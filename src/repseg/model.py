@@ -260,16 +260,16 @@ class Model:
         q = ad.linear(x, p[f"{pre}.wq"], p[f"{pre}.bq"])
         k = ad.linear(x, p[f"{pre}.wk"], p[f"{pre}.bk"])
         v = ad.linear(x, p[f"{pre}.wv"], p[f"{pre}.bv"])
-        # scaling q (T x d) instead of the T x T logits leaves softmax_rows
-        # as the only reader of each logit block, so the block is not kept
+        # scaling q (T x d) instead of the T x T logits lets softmax_matmul
+        # turn each tile of logits into probabilities where it made them
         q = ad.scale(q, 1.0 / np.sqrt(self.config.head_dim))
         heads_q = ad.split_cols(q, self.config.n_heads)
         heads_k = ad.split_cols(k, self.config.n_heads)
         heads_v = ad.split_cols(v, self.config.n_heads)
         outs = []
         for hq, hk, hv in zip(heads_q, heads_k, heads_v):
-            # full bidirectional context
-            attn = ad.softmax_rows(ad.matmul(hq, ad.transpose(hk)))
+            # full bidirectional context, with no T x T logit block
+            attn = ad.softmax_matmul(hq, ad.transpose(hk))
             outs.append(ad.matmul(attn, hv))
         merged = ad.concat_cols(outs)
         out = ad.linear(merged, p[f"{pre}.wo"], p[f"{pre}.bo"])

@@ -11,6 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repseg import autodiff
 from repseg.autodiff import (
     GraphError,
     Tape,
@@ -30,6 +31,7 @@ from repseg.autodiff import (
     parameter,
     relu,
     scale,
+    softmax_matmul,
     softmax_rows,
     split_cols,
     sub,
@@ -162,6 +164,37 @@ def test_softmax_rows_grad_and_normalization():
     tape.backward(loss)
     assert np.array_equal(xt.data, x)
     assert np.array_equal(s.data, kept)
+
+
+@pytest.mark.parametrize("tile_rows", [8, 2, 3],
+                         ids=["one_tile", "four_tiles", "ragged_last_tile"])
+def test_softmax_matmul_grad_and_equality_to_two_ops(monkeypatch, tile_rows):
+    rng = np.random.default_rng(16)
+    a, b, w = rnd(rng, 8, 3), rnd(rng, 3, 5), rnd(rng, 8, 5)
+    monkeypatch.setattr(autodiff, "SOFTMAX_TILE_BYTES", tile_rows * 8 * 5)
+    fd_check(lambda t: sum_all(mul(softmax_matmul(t[0], t[1]),
+                                   constant(w))), [a, b])
+
+    grads = []
+    for build in (softmax_matmul, lambda x, y: softmax_rows(matmul(x, y))):
+        ta, tb = parameter(a.copy()), parameter(b.copy())
+        with Tape() as tape:
+            p = build(ta, tb)
+            loss = sum_all(mul(p, constant(w)))
+        tape.backward(loss)
+        grads.append((p.data, ta.grad, tb.grad))
+    (p, g_a, g_b), (p_ref, g_a_ref, g_b_ref) = grads
+    assert np.abs(p - p_ref).max() <= 1e-15
+    assert np.abs(g_a - g_a_ref).max() <= 1e-14
+    assert np.abs(g_b - g_b_ref).max() <= 1e-14
+    assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-12
+
+
+def test_softmax_matmul_shape_errors():
+    with pytest.raises(ValueError, match="softmax_matmul shape mismatch"):
+        softmax_matmul(constant(np.ones((4, 3))), constant(np.ones((2, 4))))
+    with pytest.raises(ValueError, match="softmax_matmul shape mismatch"):
+        softmax_matmul(constant(np.ones(3)), constant(np.ones((3, 4))))
 
 
 def test_layer_norm_grad():

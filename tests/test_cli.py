@@ -334,6 +334,41 @@ def test_evaluate_class_count_mismatch_is_data_error(workspace, tmp_path,
     assert "4 classes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("n_classes", 9),
+                                          ("n_channels", 3)])
+@pytest.mark.parametrize("command", ["evaluate", "velocity"])
+def test_checkpoint_that_does_not_fit_the_dataset_is_data_error(
+        workspace, tmp_path, capsys, command, field, value):
+    model = Model(ModelConfig(**{**CONFIG["model"], field: value}),
+                  rng=np.random.default_rng(0))
+    ckpt = save_checkpoint(tmp_path / "misfit.json", model)
+    argv = {"evaluate": ["--checkpoints", str(ckpt)],
+            "velocity": ["--subject", "s00", "--checkpoint", str(ckpt)]}
+    report = tmp_path / "report.json"
+    code = main([command, "--data", str(workspace / "data"), *argv[command],
+                 "--report", str(report)])
+    assert code == 3
+    assert f"misfit.json: checkpoint expects {model.config.n_channels} " \
+           f"channels and {model.config.n_classes} classes" \
+        in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_velocity_reads_its_checkpoint_before_the_csv(workspace, tmp_path,
+                                                       capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for src in (workspace / "data").iterdir():
+        (data / src.name).write_bytes(src.read_bytes())
+    (data / "s00.csv").write_text("not a csv\n")
+    ckpt = tmp_path / "broken.json"
+    ckpt.write_text("{")
+    code = main(["velocity", "--data", str(data), "--subject", "s00",
+                 "--checkpoint", str(ckpt)])
+    assert code == 3
+    assert f"{ckpt} is not JSON" in capsys.readouterr().err
+
+
 def test_non_finite_sample_is_data_error(workspace, tmp_path):
     data = tmp_path / "data"
     data.mkdir()

@@ -115,6 +115,35 @@ def test_dataset_rejects_non_finite_sample(tmp_path, cohort):
         read_dataset(tmp_path / "ds")
 
 
+def _cell(row: str, col: int, value: str) -> str:
+    cells = row.split(",")
+    cells[col] = value
+    return ",".join(cells)
+
+
+@pytest.mark.parametrize("row, edit", [
+    (3, lambda r: _cell(r, 7, "1.5")),  # a label that is not an integer
+    (2, lambda r: _cell(r, 2, "x")),    # a sample that is not a number
+    (4, lambda r: _cell(r, 0, "4.0")),  # an index that is not an integer
+    (4, lambda r: _cell(r, 0, "9")),    # an index that is not the row number
+    (5, lambda r: _cell(r, 7, "")),     # a missing cell
+    (3, lambda r: "\n" + r),            # a blank line before the row
+    (5, lambda r: r.rsplit(",", 1)[0]),  # a row one cell short
+    (5, lambda r: r + ",0"),             # a row one cell long
+], ids=["float_label", "text_sample", "float_index", "wrong_index",
+        "empty_cell", "blank_line", "short_row", "long_row"])
+def test_bad_csv_row_is_a_data_error_naming_file_and_row(tmp_path, cohort,
+                                                          row, edit):
+    recordings, profiles = cohort
+    write_dataset(tmp_path / "ds", recordings, profiles, 5, [(1, 2)])
+    csv_path = tmp_path / "ds" / "s00.csv"
+    lines = csv_path.read_text().splitlines()
+    lines[1 + row] = edit(lines[1 + row])
+    csv_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match=rf"^s00\.csv: bad row {row}$"):
+        read_dataset(tmp_path / "ds")
+
+
 def test_missing_manifest(tmp_path):
     with pytest.raises(DataFormatError):
         read_dataset(tmp_path)

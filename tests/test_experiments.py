@@ -11,6 +11,7 @@ from repseg import forked
 from repseg.dataio import write_dataset, read_dataset
 from repseg.experiments import (
     default_sweep_seeds,
+    evaluate_model,
     losocv_benchmark,
     mask_ratio_sweep,
     run_fold,
@@ -18,9 +19,10 @@ from repseg.experiments import (
     windows_by_subject,
 )
 from repseg.metrics import labels_to_segments
-from repseg.model import ModelConfig
+from repseg.model import Model, ModelConfig
 from repseg.synth import make_cohort
-from repseg.train import Fold, TrainConfig
+from repseg.train import Fold, TrainConfig, predict
+from test_train import SPLITS, _no_child_left, _split_across
 
 MC = ModelConfig(d_model=8, n_heads=2, n_layers=1, dropout=0.0,
                  window_len=80, ffn_dim=16, tcn_layers=3, tcn_channels=4)
@@ -76,6 +78,28 @@ def test_losocv_benchmark_and_determinism(tiny_windows):
     assert len(folds) == 3
     assert folds[0]["train_subjects"] == ["s01", "s02"]
     assert a.loa["per_class"]  # chair classes present in every subject
+
+
+@pytest.mark.forked
+def test_evaluate_model_predicts_every_subject_in_one_call(monkeypatch):
+    # unequal window counts, so a label cut back at the wrong edge shows
+    rng = np.random.default_rng(4)
+    subject_windows = {
+        f"s{i:02d}": (rng.normal(size=(n, MC.window_len, MC.n_channels)),
+                      rng.integers(0, MC.n_classes, size=(n, MC.window_len)))
+        for i, n in enumerate((8, 8, 7))}
+    model = Model(MC, rng=np.random.default_rng(5))
+    expected = [predict(model, samples).reshape(-1)
+                for samples, _ in subject_windows.values()]
+    forks = _split_across(monkeypatch, 2)
+    _, labels = evaluate_model(model, subject_windows)
+    assert len(forks) == (1 if SPLITS else 0)
+    assert len(labels) == len(expected)
+    for (truth, pred), (_, want_truth), want in zip(
+            labels, subject_windows.values(), expected):
+        assert np.array_equal(truth, want_truth.reshape(-1))
+        assert np.array_equal(pred, want)
+    _no_child_left()
 
 
 def test_score_builds_segments_per_subject():

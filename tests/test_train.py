@@ -20,6 +20,7 @@ from repseg.train import (
     StepRecord,
     TrainConfig,
     TrainingDivergedError,
+    _FoldRun,
     make_losocv,
     predict,
     sample_accuracy,
@@ -388,6 +389,45 @@ def test_overfit_small_set_reaches_high_accuracy():
     assert acc >= 0.95
     # reconstruction learned alongside classification
     assert res.epochs[-1].mse < res.epochs[0].mse / 5.0
+
+
+class _CountingTape(ad.Tape):
+    """A tape that notes how many records each backward runs."""
+
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def backward(self, loss):
+        self.records.append(len(self._ops))
+        super().backward(loss)
+
+
+# the criterion-6 model, and the full-scale one with its default dropout
+CRITERION_6 = ModelConfig(d_model=16, n_heads=2, n_layers=1, dropout=0.0,
+                          window_len=160, n_channels=6, n_classes=6,
+                          ffn_dim=32, tcn_layers=5, tcn_channels=8)
+
+
+@pytest.mark.parametrize("model_config, patch_len, records", [
+    (CRITERION_6, 16, [57, 37]),
+    (ModelConfig(), 40, [229, 201]),
+], ids=["criterion_6", "full_scale"])
+def test_tape_records_per_route(model_config, patch_len, records):
+    """Pins the records one window's classification and reconstruction
+    routes make, so an op that lands or leaves shows here first."""
+    rng = np.random.default_rng(0)
+    model = Model(model_config, rng=rng)
+    model.gradient()
+    t_len = model_config.window_len
+    run = _FoldRun(model, rng.standard_normal((1, t_len, 6)),
+                   [one_hot(np.zeros(t_len, dtype=np.int64), 6)],
+                   TrainConfig(batch_size=1, patch_len=patch_len), rng, 1)
+    with _CountingTape() as tape:
+        routes = [route for route, _ in
+                  run.step_routes(tape, np.array([0]), 0)]
+    assert routes == [0, 1]
+    assert tape.records == records
 
 
 def test_predict_shapes_and_determinism():
