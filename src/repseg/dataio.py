@@ -6,10 +6,11 @@ MANIFEST_SCHEMA, CHECKPOINT_SCHEMA, CONFIG_SCHEMA and REPORT_SCHEMA are the
 one statement of each field's JSON type, and `_check` is the one code that
 checks a document against them. The readers check a document against its
 schema, then what no schema can say (CSV rows, segment counts, checksum,
-parameter sizes), and raise DataFormatError; `write_report` checks a report
-before it opens the file. CONFIG_SCHEMA is derived from the ModelConfig and
-TrainConfig field annotations, and their value ranges stay with the classes.
-Nothing parses a manifest subject's `profile`.
+parameter names, shapes and finite values), and raise DataFormatError;
+`write_report` checks a report before it opens the file. CONFIG_SCHEMA is
+derived from the ModelConfig and TrainConfig field annotations, and their
+value ranges stay with the classes. Nothing parses a manifest subject's
+`profile`.
 
 Plain text everywhere: the files are diff-friendly, language-neutral, and
 small at the scales this package targets. Floats are written with repr, which
@@ -20,7 +21,6 @@ raw little-endian float64, so load(save(model)) is bit-identical.
 from __future__ import annotations
 
 import base64
-import csv
 import hashlib
 import json
 import math
@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import labels_to_segments
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, param_shapes
 from .synth import CLASS_NAMES, N_CLASSES, Recording, SubjectProfile
 from .train import TrainConfig
 
@@ -43,6 +43,9 @@ CHECKPOINT_FORMAT = 1
 REPORT_FORMAT = 1
 
 CSV_COLUMNS = ("t_index", "ax", "ay", "az", "gx", "gy", "gz", "label")
+# rows `write_dataset` formats at a time: a whole subject's Python floats
+# at once would raise the process's peak memory
+CSV_BLOCK_ROWS = 1024
 
 
 class DataFormatError(ValueError):
@@ -172,13 +175,17 @@ def write_dataset(out_dir, recordings: list[Recording],
         if rec.subject_id != prof.subject_id:
             raise ValueError("recording/profile subject ids disagree")
         name = f"{rec.subject_id}.csv"
+        # rows as the csv module's default dialect writes them: "\r\n" at
+        # the end, and no quotes around a float's repr or an int
         with open(out_dir / name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for i in range(rec.signal.shape[0]):
-                writer.writerow(
-                    [i] + [repr(float(v)) for v in rec.signal[i]]
-                    + [int(rec.labels[i])])
+            fh.write(",".join(CSV_COLUMNS) + "\r\n")
+            for lo in range(0, rec.signal.shape[0], CSV_BLOCK_ROWS):
+                hi = lo + CSV_BLOCK_ROWS
+                fh.writelines(
+                    f"{i},{','.join(map(repr, row))},{label}\r\n"
+                    for i, row, label in zip(range(lo, hi),
+                                             rec.signal[lo:hi].tolist(),
+                                             rec.labels[lo:hi].tolist()))
         subjects.append({
             "subject_id": rec.subject_id,
             "file": name,
@@ -345,19 +352,42 @@ def save_checkpoint(path, model: Model) -> Path:
 
 
 def load_checkpoint(path) -> Model:
+    """The model in the checkpoint file at `path`. DataFormatError naming
+    the file, and the parameter where there is one, unless the blocks are
+    exactly the config's parameters, each base64 of finite float64 values
+    in the config's shape."""
     doc = _read_json(path, CHECKPOINT_SCHEMA)
     if _digest({k: doc[k] for k in ("model_config", "params")}) \
             != doc["sha256"]:
         raise ChecksumError(f"{path}: payload does not match its checksum")
     config = ModelConfig(**doc["model_config"])
+    shapes = param_shapes(config)
+    blocks = doc["params"]
+    unknown = sorted(blocks.keys() - shapes.keys())
+    if unknown:
+        raise DataFormatError(f"{path}: parameter {unknown[0]} is not in the "
+                              f"model config's layout")
     params = {}
-    for name, block in doc["params"].items():
-        raw = base64.b64decode(block["data"])
-        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    for name, shape in shapes.items():
+        where = f"{path}: parameter {name}"
+        if name not in blocks:
+            raise DataFormatError(f"{where} is missing")
+        block = blocks[name]
+        try:
+            arr = np.frombuffer(base64.b64decode(block["data"], validate=True),
+                                dtype="<f8")
+        except ValueError as exc:  # binascii.Error is a ValueError
+            raise DataFormatError(f"{where} is not base64 of float64 "
+                                  f"values: {exc}") from None
         if arr.size != math.prod(block["shape"]):
-            raise DataFormatError(f"{path}: parameter {name} has {arr.size} "
-                                  f"values for shape {block['shape']}")
-        params[name] = arr.reshape(block["shape"])
+            raise DataFormatError(f"{where} has {arr.size} values for shape "
+                                  f"{block['shape']}")
+        if tuple(block["shape"]) != shape:
+            raise DataFormatError(f"{where} has shape {block['shape']}, the "
+                                  f"model config gives {list(shape)}")
+        if not np.isfinite(arr).all():
+            raise DataFormatError(f"{where} holds a non-finite value")
+        params[name] = arr.reshape(shape)
     return Model(config, params=params)
 
 

@@ -1,14 +1,16 @@
-"""Brute-force reference implementations for the metric suite.
+"""Brute-force reference implementations for the metric suite and the
+dataset CSV format.
 
 Everything here recomputes results from first principles with plain loops,
 structured differently from the package code: per-sample counting for F1 and
 the confusion matrix, a repeated-argmax rescan over an explicit IoU matrix
 for segment matching, a bitmask DP that enumerates every one-to-one matching
-for the maximum achievable true-positive count, and direct sum arithmetic
-for the limits of agreement.
+for the maximum achievable true-positive count, direct sum arithmetic for
+the limits of agreement, and a row-by-row `csv.writer` for a subject's CSV.
 """
 
 from functools import lru_cache
+import csv
 import math
 
 from repseg.metrics import Segment
@@ -173,3 +175,17 @@ def random_label_case(rng, length=60, n_classes=4, max_per_class=6):
                 ok = False
         if ok:
             return seqs[0], seqs[1]
+
+
+def write_subject_csv_ref(path, recording):
+    """One subject's CSV written row by row with the csv module's default
+    dialect: the header, then per sample its index, the repr of each of
+    the six samples as a Python float and the integer label."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("t_index", "ax", "ay", "az", "gx", "gy", "gz",
+                         "label"))
+        for i in range(recording.signal.shape[0]):
+            writer.writerow(
+                [i] + [repr(float(v)) for v in recording.signal[i]]
+                + [int(recording.labels[i])])

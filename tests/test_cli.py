@@ -1,6 +1,7 @@
 """Command-line checks, driven through main() in-process: every subcommand
 end to end on a small dataset, exit codes, and report validity."""
 
+import base64
 import json
 import os
 import re
@@ -649,6 +650,47 @@ def test_checkpoint_model_config_of_the_wrong_type_is_data_error(
         assert main(argv + ["--report", str(report)]) == 3
         assert f"{field} must be" in capsys.readouterr().err
         assert not report.exists()
+
+
+@pytest.mark.parametrize("edit", ["nan", "-inf", "seven_bytes", "not_base64",
+                                  "missing", "renamed", "transposed"])
+@pytest.mark.parametrize("command", ["evaluate", "velocity"])
+def test_checkpoint_parameter_block_that_does_not_decode_is_data_error(
+        workspace, tmp_path, capsys, command, edit):
+    model = Model(ModelConfig(**CONFIG["model"]),
+                  rng=np.random.default_rng(0))
+    doc = json.loads(save_checkpoint(tmp_path / "good.json",
+                                     model).read_text())
+    params = doc["params"]
+    if edit in ("nan", "-inf"):
+        values = np.zeros(CONFIG["model"]["d_model"])
+        values[3] = float(edit)
+        params["embed.b"]["data"] = base64.b64encode(
+            values.astype("<f8").tobytes()).decode("ascii")
+    elif edit == "seven_bytes":
+        params["embed.b"]["data"] = base64.b64encode(bytes(7)).decode("ascii")
+    elif edit == "not_base64":
+        params["embed.b"]["data"] = "AAAA*AAA"
+    elif edit == "missing":
+        del params["embed.b"]
+    elif edit == "renamed":
+        params["embed.bias"] = params.pop("embed.b")
+    else:
+        params["embed.w"]["shape"] = params["embed.w"]["shape"][::-1]
+    name = {"renamed": "embed.bias", "transposed": "embed.w"}.get(edit,
+                                                                  "embed.b")
+    doc["sha256"] = _digest({"model_config": doc["model_config"],
+                             "params": doc["params"]})
+    ckpt = tmp_path / "bad.json"
+    ckpt.write_text(json.dumps(doc))
+    argv = {"evaluate": ["--checkpoints", str(ckpt)],
+            "velocity": ["--subject", "s00", "--checkpoint", str(ckpt)]}
+    report = tmp_path / "report.json"
+    code = main([command, "--data", str(workspace / "data"), *argv[command],
+                 "--report", str(report)])
+    assert code == 3
+    assert f"error: {ckpt}: parameter {name} " in capsys.readouterr().err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("path, value, code", [

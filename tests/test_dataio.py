@@ -10,6 +10,7 @@ import pytest
 
 from repseg.dataio import (
     CHECKPOINT_SCHEMA,
+    CSV_BLOCK_ROWS,
     MANIFEST_SCHEMA,
     REPORT_SCHEMA,
     ChecksumError,
@@ -21,8 +22,10 @@ from repseg.dataio import (
     write_dataset,
     write_report,
 )
+from repseg.metrics import labels_to_segments
 from repseg.model import Model, ModelConfig
-from repseg.synth import make_cohort
+from repseg.synth import N_CLASSES, Recording, SubjectProfile, make_cohort
+from oracles import write_subject_csv_ref
 
 TINY = dict(d_model=8, n_heads=2, n_layers=1, dropout=0.1, window_len=40,
             ffn_dim=16, tcn_layers=3, tcn_channels=4)
@@ -75,6 +78,45 @@ def test_dataset_write_is_deterministic(tmp_path, cohort):
     for name in ["manifest.json", "s00.csv", "s01.csv"]:
         assert (tmp_path / "a" / name).read_bytes() \
             == (tmp_path / "b" / name).read_bytes()
+
+
+def _assert_written_as_the_reference(out_dir, recordings):
+    for rec in recordings:
+        ref = out_dir / f"{rec.subject_id}.ref"
+        write_subject_csv_ref(ref, rec)
+        assert (out_dir / f"{rec.subject_id}.csv").read_bytes() \
+            == ref.read_bytes()
+    for got, want in zip(read_dataset(out_dir).recordings, recordings):
+        assert np.array_equal(got.signal, want.signal)
+        assert np.array_equal(np.signbit(got.signal), np.signbit(want.signal))
+        assert np.array_equal(got.labels, want.labels)
+
+
+def test_dataset_csv_matches_the_row_by_row_writer(tmp_path, cohort):
+    recordings, profiles = cohort
+    write_dataset(tmp_path / "ds", recordings, profiles, 5, [(1, 2), (4, 1)])
+    _assert_written_as_the_reference(tmp_path / "ds", recordings)
+
+
+def test_dataset_csv_matches_the_row_by_row_writer_on_awkward_floats(
+        tmp_path):
+    # samples whose repr has an exponent or a sign, in recordings that end
+    # inside a row block, on a block boundary and after one row
+    awkward = [1e-05, -0.0, 1e+16, 5e-324, 123456789.125, -1e-05, -1e+16,
+               -5e-324, 1.7976931348623157e+308, 0.1, -2.5, 0.0]
+    rng = np.random.default_rng(0)
+    recordings, profiles = [], []
+    for n, rows in enumerate((2500, CSV_BLOCK_ROWS, 1)):
+        signal = rng.normal(size=(rows, 6)) * 10.0 ** rng.integers(
+            -20, 20, size=(rows, 6))
+        signal.flat[::3] = np.resize(awkward, signal.flat[::3].size)
+        labels = np.repeat(rng.integers(0, N_CLASSES, size=rows // 100 + 1),
+                           100)[:rows]
+        recordings.append(Recording(f"s{n:02d}", signal, labels,
+                                    labels_to_segments(labels)))
+        profiles.append(SubjectProfile(f"s{n:02d}", {}, {}))
+    write_dataset(tmp_path / "ds", recordings, profiles, 0, [])
+    _assert_written_as_the_reference(tmp_path / "ds", recordings)
 
 
 def test_manifest_schema_and_tamper_detection(tmp_path, cohort):
