@@ -374,17 +374,29 @@ def softmax_rows(a: Tensor) -> Tensor:
 # tile; an 800-column one (6.25 KiB per row) takes 40-row tiles.
 SOFTMAX_TILE_BYTES = 256 << 10
 
+# Largest bound on |logit| at which `softmax_matmul` exponentiates the logits
+# without shifting each row by its max. e^-300 and e^300 are normal float64
+# values (the range ends near e^-708 and e^709), so no exp overflows, no row
+# sum overflows for any row length below 10^170 and no row flushes to zero,
+# and each probability keeps the relative accuracy of the shifted form.
+EXP_SAFE_BOUND = 300.0
+
 
 def softmax_matmul(a: Tensor, b: Tensor) -> Tensor:
     """softmax_rows(matmul(a, b)) as one node, one row tile at a time.
 
-    Each tile of the (T, S) output is filled by the matmul and then shifted
-    by its row max, exponentiated and normalised in place while it is in
-    cache, with `softmax_rows`' arithmetic, so no logit block exists apart
-    from the probabilities, which backward keeps as `softmax_rows` does.
-    Backward forms each tile's dZ = P * (g - rowdot(g, P)) in one reused
-    buffer and accumulates dA and dB from it; with a single tile it makes
-    the float operations of the two separate nodes.
+    Each tile of the (T, S) output is filled by the matmul and then
+    exponentiated and normalised in place while it is in cache, so no logit
+    block exists apart from the probabilities, which backward keeps as
+    `softmax_rows` does. By Cauchy-Schwarz every logit lies within
+    B = max_i |a_i| * max_j |b_j| (row norms of `a`, column norms of `b`);
+    when B <= `EXP_SAFE_BOUND` the tiles skip the row-max shift, otherwise
+    (a large, infinite or NaN bound) each row is shifted by its max as in
+    `softmax_rows`. Either way the probabilities differ from the two
+    separate nodes' by rounding only. Backward forms each tile's
+    dZ = P * (g - rowdot(g, P)) in one reused buffer and accumulates dA and
+    dB from it; with a single tile it makes the float operations of the two
+    separate nodes' backwards on the same P.
     """
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"softmax_matmul shape mismatch: {a.shape} @ "
@@ -393,13 +405,18 @@ def softmax_matmul(a: Tensor, b: Tensor) -> Tensor:
     t_len, s_len = a.shape[0], b.shape[1]
     rows = max(1, SOFTMAX_TILE_BYTES // (8 * max(s_len, 1)))
     tiles = [slice(lo, min(lo + rows, t_len)) for lo in range(0, t_len, rows)]
+    bound = np.sqrt(
+        np.einsum("ij,ij->i", a_data, a_data).max(initial=0.0)
+        * np.einsum("ij,ij->j", b_data, b_data).max(initial=0.0))
+    shift = not bound <= EXP_SAFE_BOUND
     p = np.empty((t_len, s_len))
     for sl in tiles:
         tile = p[sl]
         np.matmul(a_data[sl], b_data, out=tile)
-        tile -= tile.max(axis=1, keepdims=True)
+        if shift:
+            tile -= tile.max(axis=1, keepdims=True)
         np.exp(tile, out=tile)
-        tile *= 1.0 / tile.sum(axis=1, keepdims=True)
+        tile *= 1.0 / np.einsum("ij->i", tile)[:, None]
 
     def backward(g):
         g_a = np.empty_like(a_data)

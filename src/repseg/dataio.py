@@ -33,7 +33,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import labels_to_segments
 from .model import Model, ModelConfig, param_shapes
 from .synth import CLASS_NAMES, N_CLASSES, Recording, SubjectProfile
 from .train import TrainConfig
@@ -295,13 +294,12 @@ def read_dataset(dataset_dir, subjects=None) -> Dataset:
     for entry in entries:
         signal, labels = _read_subject_csv(dataset_dir / entry["file"],
                                            entry["rows"])
-        segments = labels_to_segments(labels)
-        if _segment_counts(segments) != entry["segment_counts"]:
+        rec = Recording(subject_id=entry["subject_id"], signal=signal,
+                        labels=labels, sample_rate=sample_rate)
+        if _segment_counts(rec.segments) != entry["segment_counts"]:
             raise DataFormatError(
                 f"{entry['file']}: segment counts disagree with manifest")
-        recordings.append(Recording(
-            subject_id=entry["subject_id"], signal=signal, labels=labels,
-            segments=segments, sample_rate=sample_rate))
+        recordings.append(rec)
     return Dataset(
         sample_rate=sample_rate,
         seed=manifest["seed"],
@@ -327,8 +325,14 @@ def _checkpoint_payload(model: Model) -> dict:
 
 
 def _digest(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    """SHA-256 of the payload's canonical JSON (sorted keys, no spaces),
+    fed to the hash chunk by chunk so the whole text never exists at once
+    (7.9 MB for the full-scale model)."""
+    digest = hashlib.sha256()
+    for chunk in json.JSONEncoder(
+            sort_keys=True, separators=(",", ":")).iterencode(payload):
+        digest.update(chunk.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def save_checkpoint(path, model: Model) -> Path:

@@ -155,7 +155,7 @@ class Recording:
     subject_id: str
     signal: np.ndarray  # (L, 6)
     labels: np.ndarray  # (L,)
-    segments: list[Segment]
+    segments: list[Segment] = field(init=False)  # runs of `labels`
     sample_rate: float = 100.0
 
     def __post_init__(self):
@@ -163,8 +163,7 @@ class Recording:
             raise ValueError(f"signal must be (L, 6), got {self.signal.shape}")
         if self.labels.shape != (self.signal.shape[0],):
             raise ValueError("labels and signal lengths differ")
-        if labels_to_segments(self.labels) != self.segments:
-            raise ValueError("segments do not reproduce labels")
+        self.segments = labels_to_segments(self.labels)
 
 
 def make_profile(subject_id: str, rng: np.random.Generator) -> SubjectProfile:
@@ -254,8 +253,7 @@ def generate_recording(profile: SubjectProfile, plan: list[tuple[int, int]],
         signal[:, ch] += profile.drift_amplitude * \
             np.sin(2.0 * np.pi * 0.05 * t + phase)
 
-    return Recording(profile.subject_id, signal, labels,
-                     labels_to_segments(labels), sample_rate=fs)
+    return Recording(profile.subject_id, signal, labels, sample_rate=fs)
 
 
 def make_cohort(n_subjects: int, plan: list[tuple[int, int]] | None = None,

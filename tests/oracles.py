@@ -6,11 +6,14 @@ structured differently from the package code: per-sample counting for F1 and
 the confusion matrix, a repeated-argmax rescan over an explicit IoU matrix
 for segment matching, a bitmask DP that enumerates every one-to-one matching
 for the maximum achievable true-positive count, direct sum arithmetic for
-the limits of agreement, and a row-by-row `csv.writer` for a subject's CSV.
+the limits of agreement, a row-by-row `csv.writer` for a subject's CSV, and
+a one-shot SHA-256 of a checkpoint payload's whole canonical JSON text.
 """
 
 from functools import lru_cache
 import csv
+import hashlib
+import json
 import math
 
 from repseg.metrics import Segment
@@ -189,3 +192,10 @@ def write_subject_csv_ref(path, recording):
             writer.writerow(
                 [i] + [repr(float(v)) for v in recording.signal[i]]
                 + [int(recording.labels[i])])
+
+
+def digest_ref(payload):
+    """SHA-256 hex digest of the payload's canonical JSON (sorted keys, no
+    spaces), hashed as one UTF-8 string."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

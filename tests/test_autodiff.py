@@ -166,12 +166,36 @@ def test_softmax_rows_grad_and_normalization():
     assert np.array_equal(s.data, kept)
 
 
-@pytest.mark.parametrize("tile_rows", [8, 2, 3],
-                         ids=["one_tile", "four_tiles", "ragged_last_tile"])
-def test_softmax_matmul_grad_and_equality_to_two_ops(monkeypatch, tile_rows):
+def largest_exp_argument(monkeypatch, a, b):
+    """softmax_matmul(a, b)'s output and the largest value other than NaN
+    it passed to np.exp: the largest logit without the row-max shift, 0.0
+    with it."""
+    seen, exp = [], np.exp
+
+    def spy(x, *args, **kwargs):
+        seen.append(np.nanmax(x))
+        return exp(x, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "exp", spy)
+        p = softmax_matmul(constant(a), constant(b)).data
+    return p, max(seen)
+
+
+# the default bound exponentiates these logits unshifted; 0.0 forces the
+# row-max shift
+@pytest.mark.parametrize(
+    "tile_rows, exp_safe_bound",
+    [(8, autodiff.EXP_SAFE_BOUND), (2, autodiff.EXP_SAFE_BOUND),
+     (3, autodiff.EXP_SAFE_BOUND), (8, 0.0), (2, 0.0), (3, 0.0)],
+    ids=["one_tile", "four_tiles", "ragged_last_tile", "one_tile-shifted",
+         "four_tiles-shifted", "ragged_last_tile-shifted"])
+def test_softmax_matmul_grad_and_equality_to_two_ops(monkeypatch, tile_rows,
+                                                     exp_safe_bound):
     rng = np.random.default_rng(16)
     a, b, w = rnd(rng, 8, 3), rnd(rng, 3, 5), rnd(rng, 8, 5)
     monkeypatch.setattr(autodiff, "SOFTMAX_TILE_BYTES", tile_rows * 8 * 5)
+    monkeypatch.setattr(autodiff, "EXP_SAFE_BOUND", exp_safe_bound)
     fd_check(lambda t: sum_all(mul(softmax_matmul(t[0], t[1]),
                                    constant(w))), [a, b])
 
@@ -188,6 +212,53 @@ def test_softmax_matmul_grad_and_equality_to_two_ops(monkeypatch, tile_rows):
     assert np.abs(g_a - g_a_ref).max() <= 1e-14
     assert np.abs(g_b - g_b_ref).max() <= 1e-14
     assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-12
+
+
+def test_softmax_matmul_shifts_logits_beyond_the_bound():
+    rng = np.random.default_rng(17)
+    a, b = rnd(rng, 8, 3) * 30.0, rnd(rng, 3, 5) * 30.0
+    logits = a @ b
+    assert logits.max() - logits.min() > 1500.0
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        p = softmax_matmul(constant(a), constant(b)).data
+        p_ref = softmax_rows(constant(logits)).data
+    assert np.all(np.isfinite(p))
+    assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-12
+    assert np.abs(p - p_ref).max() <= 1e-15
+
+
+def test_softmax_matmul_skips_the_shift_at_the_bound(monkeypatch):
+    # rows of norm at most 15 and columns of norm at most 20, both reached,
+    # so the Cauchy-Schwarz bound is 300 exactly and logits reach +-300
+    rng = np.random.default_rng(18)
+    a = rng.integers(-10, 11, size=(800, 2)).astype(float)
+    b = rng.integers(-14, 15, size=(2, 800)).astype(float)
+    a[0], b[:, 0], b[:, 1] = (15.0, 0.0), (20.0, 0.0), (-20.0, 0.0)
+    assert autodiff.EXP_SAFE_BOUND == 300.0
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        p, largest = largest_exp_argument(monkeypatch, a, b)
+        p_ref = softmax_rows(constant(a @ b)).data
+    assert largest == 300.0  # exponentiated unshifted
+    assert np.all(np.isfinite(p)) and p.min() > 0.0
+    assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-12
+    assert np.abs(p - p_ref).max() <= 1e-15
+    monkeypatch.setattr(autodiff, "EXP_SAFE_BOUND", 299.0)
+    assert largest_exp_argument(monkeypatch, a, b)[1] == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_softmax_matmul_non_finite_input_takes_the_shifted_path(monkeypatch,
+                                                                 bad):
+    rng = np.random.default_rng(19)
+    a, b = rnd(rng, 6, 3), rnd(rng, 3, 4)
+    a[2, 1] = bad
+    with np.errstate(invalid="ignore"):
+        p, largest = largest_exp_argument(monkeypatch, a, b)
+        monkeypatch.setattr(autodiff, "EXP_SAFE_BOUND", 0.0)
+        p_shifted = softmax_matmul(constant(a), constant(b)).data
+    assert largest == 0.0  # shifted
+    assert np.isnan(p[2]).all()
+    assert np.array_equal(p, p_shifted, equal_nan=True)
 
 
 def test_softmax_matmul_shape_errors():

@@ -9,12 +9,15 @@ import numpy as np
 import pytest
 
 from repseg.dataio import (
+    CHECKPOINT_FORMAT,
     CHECKPOINT_SCHEMA,
     CSV_BLOCK_ROWS,
     MANIFEST_SCHEMA,
     REPORT_SCHEMA,
     ChecksumError,
     DataFormatError,
+    _checkpoint_payload,
+    _digest,
     load_checkpoint,
     read_dataset,
     read_report,
@@ -22,10 +25,9 @@ from repseg.dataio import (
     write_dataset,
     write_report,
 )
-from repseg.metrics import labels_to_segments
 from repseg.model import Model, ModelConfig
 from repseg.synth import N_CLASSES, Recording, SubjectProfile, make_cohort
-from oracles import write_subject_csv_ref
+from oracles import digest_ref, write_subject_csv_ref
 
 TINY = dict(d_model=8, n_heads=2, n_layers=1, dropout=0.1, window_len=40,
             ffn_dim=16, tcn_layers=3, tcn_channels=4)
@@ -112,8 +114,7 @@ def test_dataset_csv_matches_the_row_by_row_writer_on_awkward_floats(
         signal.flat[::3] = np.resize(awkward, signal.flat[::3].size)
         labels = np.repeat(rng.integers(0, N_CLASSES, size=rows // 100 + 1),
                            100)[:rows]
-        recordings.append(Recording(f"s{n:02d}", signal, labels,
-                                    labels_to_segments(labels)))
+        recordings.append(Recording(f"s{n:02d}", signal, labels))
         profiles.append(SubjectProfile(f"s{n:02d}", {}, {}))
     write_dataset(tmp_path / "ds", recordings, profiles, 0, [])
     _assert_written_as_the_reference(tmp_path / "ds", recordings)
@@ -203,6 +204,19 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert got.data.dtype == np.float64
         assert np.array_equal(got.data, p.data)
         assert got.requires_grad
+
+
+@pytest.mark.parametrize("config", [TINY, {}], ids=["tiny", "full_scale"])
+def test_streamed_digest_equals_the_one_shot_digest(tmp_path, config):
+    model = Model(ModelConfig(**config), rng=np.random.default_rng(3))
+    payload = _checkpoint_payload(model)
+    assert _digest(payload) == digest_ref(payload)
+    # a checkpoint whose checksum was hashed in one piece still loads
+    doc = {"format_version": CHECKPOINT_FORMAT, "kind": "checkpoint",
+           "sha256": digest_ref(payload), **payload}
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    assert np.array_equal(load_checkpoint(path).data, model.data)
 
 
 def test_checkpoint_corruption_detected(tmp_path):

@@ -192,7 +192,9 @@ def test_make_cohort_deterministic_distinct_profiles():
         assert np.array_equal(ra.labels, rb.labels)
 
 
-def test_recording_invariant_enforced():
+def test_recording_derives_its_segments_from_its_labels():
     rec = generate_recording(flat_profile(), DEFAULT_PLAN, seed=10)
-    with pytest.raises(ValueError):
-        Recording(rec.subject_id, rec.signal, rec.labels, rec.segments[:-1])
+    assert rec.segments == labels_to_segments(rec.labels)
+    with pytest.raises(TypeError):
+        Recording(rec.subject_id, rec.signal, rec.labels,
+                  segments=rec.segments)
