@@ -21,6 +21,7 @@ raw little-endian float64, so load(save(model)) is bit-identical.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import math
@@ -33,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import forked
 from .model import Model, ModelConfig, param_shapes
 from .synth import CLASS_NAMES, N_CLASSES, Recording, SubjectProfile
 from .train import TrainConfig
@@ -136,8 +138,6 @@ class Dataset:
     """A manifest-backed cohort: one recording per subject."""
 
     sample_rate: float
-    seed: int
-    plan: list[tuple[int, int]]
     recordings: list[Recording]
 
     def subject_ids(self) -> list[str]:
@@ -157,10 +157,29 @@ def _segment_counts(segments) -> dict[str, int]:
     return counts
 
 
+def _write_subject_csv(path: Path, rec: Recording) -> None:
+    """One subject's CSV: the header, then the rows as the csv module's
+    default dialect writes them ("\r\n" at the end, and no quotes around a
+    float's repr or an int), formatted `CSV_BLOCK_ROWS` at a time."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        for lo in range(0, rec.signal.shape[0], CSV_BLOCK_ROWS):
+            hi = lo + CSV_BLOCK_ROWS
+            fh.writelines(
+                f"{i},{','.join(map(repr, row))},{label}\r\n"
+                for i, row, label in zip(range(lo, hi),
+                                         rec.signal[lo:hi].tolist(),
+                                         rec.labels[lo:hi].tolist()))
+
+
 def write_dataset(out_dir, recordings: list[Recording],
                   profiles: list[SubjectProfile], seed: int,
                   plan: list[tuple[int, int]]) -> Path:
-    """Write one CSV per subject plus manifest.json; returns the manifest."""
+    """Write one CSV per subject plus manifest.json; returns the manifest.
+
+    The caller writes the CSVs of the first of `forked.shares` and a forked
+    child each other share's. A file that cannot be written raises the
+    OSError its `open` or write raised, before manifest.json is written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not recordings:
@@ -169,29 +188,34 @@ def write_dataset(out_dir, recordings: list[Recording],
         raise ValueError("recordings and profiles differ in length")
     if len({r.sample_rate for r in recordings}) != 1:
         raise ValueError("recordings disagree on sample rate")
-    subjects = []
-    for rec, prof in zip(recordings, profiles):
-        if rec.subject_id != prof.subject_id:
-            raise ValueError("recording/profile subject ids disagree")
-        name = f"{rec.subject_id}.csv"
-        # rows as the csv module's default dialect writes them: "\r\n" at
-        # the end, and no quotes around a float's repr or an int
-        with open(out_dir / name, "w", newline="") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\r\n")
-            for lo in range(0, rec.signal.shape[0], CSV_BLOCK_ROWS):
-                hi = lo + CSV_BLOCK_ROWS
-                fh.writelines(
-                    f"{i},{','.join(map(repr, row))},{label}\r\n"
-                    for i, row, label in zip(range(lo, hi),
-                                             rec.signal[lo:hi].tolist(),
-                                             rec.labels[lo:hi].tolist()))
-        subjects.append({
-            "subject_id": rec.subject_id,
-            "file": name,
-            "rows": int(rec.signal.shape[0]),
-            "segment_counts": _segment_counts(rec.segments),
-            "profile": prof.to_dict(),
-        })
+    if any(r.subject_id != p.subject_id for r, p in zip(recordings, profiles)):
+        raise ValueError("recording/profile subject ids disagree")
+    path = out_dir / "manifest.json"
+    path.unlink(missing_ok=True)  # a manifest from an earlier write
+    csvs = [out_dir / f"{rec.subject_id}.csv" for rec in recordings]
+    errnos = np.zeros(len(csvs), dtype=np.int64)
+    shares = forked.shares(len(csvs), forked.processes(len(csvs)))
+
+    def fill(share: slice) -> np.ndarray:
+        for k in range(share.start, share.stop):
+            try:
+                _write_subject_csv(csvs[k], recordings[k])
+            except OSError as exc:  # stop there, as one loop over all would
+                errnos[k] = exc.errno
+                break
+        return errnos[share]
+
+    def send_share(share: slice, stream) -> None:
+        forked.send(stream, [fill(share)])
+
+    with forked.run([functools.partial(send_share, share)
+                     for share in shares[1:]]) as children:
+        fill(shares[0])
+        for child, share in zip(children, shares[1:]):
+            forked.receive_into(child.stream, errnos[share])
+    for csv, code in zip(csvs, errnos.tolist()):
+        if code:
+            raise OSError(code, os.strerror(code), str(csv))
     manifest = {
         "format_version": DATASET_FORMAT,
         "kind": "dataset",
@@ -199,9 +223,14 @@ def write_dataset(out_dir, recordings: list[Recording],
         "seed": int(seed),
         "plan": [[int(c), int(n)] for c, n in plan],
         "class_names": {str(c): CLASS_NAMES[c] for c in range(N_CLASSES)},
-        "subjects": subjects,
+        "subjects": [{
+            "subject_id": rec.subject_id,
+            "file": csv.name,
+            "rows": int(rec.signal.shape[0]),
+            "segment_counts": _segment_counts(rec.segments),
+            "profile": prof.to_dict(),
+        } for rec, prof, csv in zip(recordings, profiles, csvs)],
     }
-    path = out_dir / "manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -300,12 +329,7 @@ def read_dataset(dataset_dir, subjects=None) -> Dataset:
             raise DataFormatError(
                 f"{entry['file']}: segment counts disagree with manifest")
         recordings.append(rec)
-    return Dataset(
-        sample_rate=sample_rate,
-        seed=manifest["seed"],
-        plan=[(c, n) for c, n in manifest["plan"]],
-        recordings=recordings,
-    )
+    return Dataset(sample_rate=sample_rate, recordings=recordings)
 
 
 # -------------------------------------------------------------- checkpoints
@@ -417,10 +441,6 @@ def write_report(path, report: dict) -> Path:
     with open(path, "w") as fh:
         fh.write(text + "\n")
     return path
-
-
-def read_report(path) -> dict:
-    return _read_json(path, REPORT_SCHEMA)
 
 
 def check_report_structure(report: dict, where: str = "report") -> None:

@@ -166,14 +166,23 @@ class BenchmarkResult:
         return aggregate([o.scores for o in self.outcomes])
 
 
+def _inherited_fold(fold: Fold) -> FoldOutcome:
+    """Pool task: `run_fold` on the windows and settings the worker
+    inherited from `losocv_benchmark`."""
+    subject_windows, *settings = forked.inherited
+    return run_fold(subject_windows, fold, *settings)
+
+
 def losocv_benchmark(subject_windows: dict, model_config: ModelConfig,
                      train_config: TrainConfig,
                      iou_threshold: float = 0.75) -> BenchmarkResult:
-    """Train and score every leave-one-subject-out fold on a pinned pool."""
-    payloads = [(subject_windows, f, model_config, train_config,
-                 iou_threshold) for f in make_losocv(list(subject_windows))]
-    with forked.single_cpu_pool(len(payloads)) as pool:
-        outcomes = list(pool.map(run_fold, *zip(*payloads)))
+    """Train and score every leave-one-subject-out fold on a pinned pool;
+    the workers inherit the windows, so a task carries only its `Fold`."""
+    folds = make_losocv(list(subject_windows))
+    with forked.single_cpu_pool(len(folds), payload=(
+            subject_windows, model_config, train_config,
+            iou_threshold)) as pool:
+        outcomes = list(pool.map(_inherited_fold, folds))
     pooled = score([o.labels for o in outcomes], model_config.n_classes,
                    iou_threshold)
     return BenchmarkResult(outcomes=outcomes, loa=pooled.get("loa"))

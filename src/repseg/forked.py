@@ -9,7 +9,8 @@ over a buffered stream. Arrays cross as raw bytes (`send`, `receive_into`),
 in an order both sides know. While children run every process uses one BLAS
 thread, as two processes with two threads each oversubscribe two cores.
 `single_cpu_pool` has `processes` workers, each pinned to a CPU of its own,
-so the work inside a worker stays serial.
+so the work inside a worker stays serial; they inherit the payload every
+task reads (`inherited`).
 """
 
 from __future__ import annotations
@@ -167,10 +168,19 @@ def run(works: list):
                            f"failed, exit statuses {failed}")
 
 
-def _pin_to_one_cpu(cpus: list[int], started) -> None:
-    """Pool initializer: run this worker on the CPU of `cpus` after the one
-    the previous worker took (`started` counts them). BLAS gets one thread
-    too, as a second one would only contend for the same CPU."""
+# the payload of the `single_cpu_pool` this worker process belongs to
+inherited = None
+
+
+def _start_worker(payload, cpus: list[int] | None, started) -> None:
+    """Pool initializer: keep `payload` as `inherited`, then run this
+    worker on the CPU of `cpus` after the one the previous worker took
+    (`started` counts them). BLAS gets one thread too, as a second one
+    would only contend for the same CPU."""
+    global inherited
+    inherited = payload
+    if cpus is None:
+        return
     with started.get_lock():
         index = started.value
         started.value += 1
@@ -181,15 +191,20 @@ def _pin_to_one_cpu(cpus: list[int], started) -> None:
         set_threads(1)
 
 
-def single_cpu_pool(n_tasks: int) -> ProcessPoolExecutor:
+def single_cpu_pool(n_tasks: int, payload=None) -> ProcessPoolExecutor:
     """`processes(n_tasks)` worker processes, each pinned to a CPU of its
     own where the platform allows. `processes` inside a worker then sees one
     CPU, so the work stays in that worker: split again, two workers would
-    run four processes on two cores, meeting at every training step."""
-    workers = processes(n_tasks)
-    if not hasattr(os, "sched_setaffinity"):
-        return ProcessPoolExecutor(max_workers=workers)
+    run four processes on two cores, meeting at every training step.
+
+    A task reads `payload` as `inherited`. Where `os.fork` exists the
+    workers are forked, so the payload is inherited, never pickled, and a
+    task carries only its own arguments."""
+    context = multiprocessing.get_context(
+        "fork" if hasattr(os, "fork") else None)
+    cpus = sorted(os.sched_getaffinity(0)) \
+        if hasattr(os, "sched_setaffinity") else None
     return ProcessPoolExecutor(
-        max_workers=workers, initializer=_pin_to_one_cpu,
-        initargs=(sorted(os.sched_getaffinity(0)),
-                  multiprocessing.Value("i", 0)))
+        max_workers=processes(n_tasks), mp_context=context,
+        initializer=_start_worker,
+        initargs=(payload, cpus, context.Value("i", 0)))

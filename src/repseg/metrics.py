@@ -26,7 +26,6 @@ __all__ = [
     "LoaEntry",
     "LoaReport",
     "labels_to_segments",
-    "segments_to_labels",
     "validate_segments",
     "iou",
     "match_segments",
@@ -79,17 +78,6 @@ def labels_to_segments(labels: np.ndarray, background: int = 0) -> list[Segment]
     if current != background:
         segments.append(Segment(start, len(labels), int(current)))
     return segments
-
-
-def segments_to_labels(segments: list[Segment], length: int,
-                       background: int = 0) -> np.ndarray:
-    validate_segments(segments)
-    labels = np.full(length, background, dtype=np.int64)
-    for s in segments:
-        if s.end > length:
-            raise ValueError(f"segment {s} exceeds sequence length {length}")
-        labels[s.start:s.end] = s.class_id
-    return labels
 
 
 def iou(a: Segment, b: Segment) -> float:
@@ -155,9 +143,6 @@ class ClassF1Report:
     def __post_init__(self):
         scores = [s.f1 for s in self.per_class.values() if s is not None]
         self.macro_f1 = float(np.mean(scores)) if scores else None
-
-    def present_classes(self) -> list[int]:
-        return [c for c, s in self.per_class.items() if s is not None]
 
     def to_dict(self) -> dict:
         return {

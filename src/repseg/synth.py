@@ -30,7 +30,6 @@ __all__ = [
     "generate_recording",
     "make_cohort",
     "windowize",
-    "sts_peak_velocity",
 ]
 
 CLASS_NAMES = {
@@ -178,11 +177,6 @@ def make_profile(subject_id: str, rng: np.random.Generator) -> SubjectProfile:
         noise_sigma=float(rng.uniform(0.05, 0.12)),
         drift_amplitude=float(rng.uniform(0.01, 0.03)),
     )
-
-
-def sts_peak_velocity(amplitude: float, duration_s: float) -> float:
-    """Analytic peak of integrating A*sin(2*pi*t/D): A*D/pi at t = D/2."""
-    return abs(amplitude) * duration_s / np.pi
 
 
 def generate_recording(profile: SubjectProfile, plan: list[tuple[int, int]],

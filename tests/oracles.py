@@ -8,6 +8,10 @@ for segment matching, a bitmask DP that enumerates every one-to-one matching
 for the maximum achievable true-positive count, direct sum arithmetic for
 the limits of agreement, a row-by-row `csv.writer` for a subject's CSV, and
 a one-shot SHA-256 of a checkpoint payload's whole canonical JSON text.
+
+Also helpers only the tests use: labels painted from segments (the inverse
+of `labels_to_segments`), the closed-form peak of a sit-to-stand velocity,
+and a checked read of a run report.
 """
 
 from functools import lru_cache
@@ -15,8 +19,12 @@ import csv
 import hashlib
 import json
 import math
+from pathlib import Path
 
-from repseg.metrics import Segment
+import numpy as np
+
+from repseg.dataio import check_report_structure
+from repseg.metrics import Segment, validate_segments
 
 
 def iou_ref(t: Segment, p: Segment) -> float:
@@ -199,3 +207,26 @@ def digest_ref(payload):
     spaces), hashed as one UTF-8 string."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def segments_to_labels(segments, length, background=0):
+    """Per-sample labels with each segment's span painted in its class."""
+    validate_segments(segments)
+    labels = np.full(length, background, dtype=np.int64)
+    for s in segments:
+        if s.end > length:
+            raise ValueError(f"segment {s} exceeds sequence length {length}")
+        labels[s.start:s.end] = s.class_id
+    return labels
+
+
+def sts_peak_velocity(amplitude, duration_s):
+    """Analytic peak of integrating A*sin(2*pi*t/D): A*D/pi at t = D/2."""
+    return abs(amplitude) * duration_s / np.pi
+
+
+def read_report(path):
+    """The run report in the file at `path`, checked against its schema."""
+    report = json.loads(Path(path).read_text())
+    check_report_structure(report)
+    return report

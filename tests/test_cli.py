@@ -13,10 +13,10 @@ import pytest
 from repseg import forked
 from repseg.cli import main
 from repseg.dataio import (REPORT_SCHEMA, _digest, load_checkpoint,
-                           read_dataset, read_report, save_checkpoint,
-                           write_dataset)
+                           read_dataset, save_checkpoint, write_dataset)
 from repseg.model import Model, ModelConfig
 from repseg.synth import CLASS_NAMES, make_cohort
+from oracles import read_report
 from test_train import _no_child_left
 
 CONFIG = {
@@ -297,8 +297,9 @@ def test_evaluate_matches_losocv_fold(workspace, tmp_path):
     # the profiles the workspace fixture's `generate` wrote
     _, profiles = make_cohort(3, plan=[(1, 2), (4, 1)], seed=11)
     prof, = [p for p in profiles if p.subject_id == rec.subject_id]
-    write_dataset(tmp_path / "held_out", [rec], [prof], dataset.seed,
-                  dataset.plan)
+    manifest = json.loads((workspace / "data" / "manifest.json").read_text())
+    write_dataset(tmp_path / "held_out", [rec], [prof], manifest["seed"],
+                  manifest["plan"])
     report_path = tmp_path / "eval.json"
     assert main(["evaluate", "--data", str(tmp_path / "held_out"),
                  "--checkpoints",

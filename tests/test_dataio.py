@@ -8,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from repseg.cli import main
 from repseg.dataio import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_SCHEMA,
@@ -20,14 +21,14 @@ from repseg.dataio import (
     _digest,
     load_checkpoint,
     read_dataset,
-    read_report,
     save_checkpoint,
     write_dataset,
     write_report,
 )
 from repseg.model import Model, ModelConfig
 from repseg.synth import N_CLASSES, Recording, SubjectProfile, make_cohort
-from oracles import digest_ref, write_subject_csv_ref
+from oracles import digest_ref, read_report, write_subject_csv_ref
+from test_train import SPLITS, _no_child_left, _split_across
 
 TINY = dict(d_model=8, n_heads=2, n_layers=1, dropout=0.1, window_len=40,
             ffn_dim=16, tcn_layers=3, tcn_channels=4)
@@ -43,8 +44,8 @@ def test_dataset_roundtrip_is_bit_exact(tmp_path, cohort):
     write_dataset(tmp_path / "ds", recordings, profiles, seed=5,
                   plan=[(1, 2), (4, 1)])
     ds = read_dataset(tmp_path / "ds")
-    assert ds.seed == 5
-    assert ds.plan == [(1, 2), (4, 1)]
+    manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+    assert (manifest["seed"], manifest["plan"]) == (5, [[1, 2], [4, 1]])
     assert ds.subject_ids() == ["s00", "s01"]
     for got, want in zip(ds.recordings, recordings):
         assert np.array_equal(got.signal, want.signal)  # repr round-trips
@@ -94,12 +95,33 @@ def _assert_written_as_the_reference(out_dir, recordings):
         assert np.array_equal(got.labels, want.labels)
 
 
-def test_dataset_csv_matches_the_row_by_row_writer(tmp_path, cohort):
-    recordings, profiles = cohort
-    write_dataset(tmp_path / "ds", recordings, profiles, 5, [(1, 2), (4, 1)])
-    _assert_written_as_the_reference(tmp_path / "ds", recordings)
+def _assert_split_write_as_the_reference(tmp_path, recordings, profiles,
+                                         seed, plan):
+    """`write_dataset` on one CPU, then on two: one fork for the child's
+    share on two (where this platform splits at all), none on one; each
+    time every CSV is the reference writer's, and the manifests agree."""
+    for n_cpus in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            forks = _split_across(mp, n_cpus)
+            write_dataset(tmp_path / f"on_{n_cpus}", recordings, profiles,
+                          seed, plan)
+        assert len(forks) == (1 if SPLITS and n_cpus == 2 else 0)
+        _no_child_left()
+        _assert_written_as_the_reference(tmp_path / f"on_{n_cpus}",
+                                         recordings)
+    assert (tmp_path / "on_1" / "manifest.json").read_bytes() \
+        == (tmp_path / "on_2" / "manifest.json").read_bytes()
 
 
+@pytest.mark.forked
+def test_dataset_csv_matches_the_row_by_row_writer(tmp_path):
+    # three subjects, so the shares on two CPUs are unequal (2 + 1)
+    recordings, profiles = make_cohort(3, plan=[(1, 2), (4, 1)], seed=5)
+    _assert_split_write_as_the_reference(tmp_path, recordings, profiles, 5,
+                                         [(1, 2), (4, 1)])
+
+
+@pytest.mark.forked
 def test_dataset_csv_matches_the_row_by_row_writer_on_awkward_floats(
         tmp_path):
     # samples whose repr has an exponent or a sign, in recordings that end
@@ -116,8 +138,37 @@ def test_dataset_csv_matches_the_row_by_row_writer_on_awkward_floats(
                            100)[:rows]
         recordings.append(Recording(f"s{n:02d}", signal, labels))
         profiles.append(SubjectProfile(f"s{n:02d}", {}, {}))
-    write_dataset(tmp_path / "ds", recordings, profiles, 0, [])
-    _assert_written_as_the_reference(tmp_path / "ds", recordings)
+    _assert_split_write_as_the_reference(tmp_path, recordings, profiles, 0,
+                                         [])
+
+
+@pytest.mark.forked
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_unwritable_csv_exits_3_naming_it_and_leaves_no_manifest(
+        tmp_path, monkeypatch, capsys, n_cpus):
+    """s02.csv falls in the child's share on two CPUs: its errno crosses to
+    the caller, which raises what the serial write raises."""
+    out = tmp_path / "ds"
+    (out / "s02.csv").mkdir(parents=True)
+    forks = _split_across(monkeypatch, n_cpus)
+    assert main(["generate", "--subjects", "3", "--seed", "5",
+                 "--out", str(out)]) == 3
+    assert len(forks) == (1 if SPLITS and n_cpus == 2 else 0)
+    err = capsys.readouterr().err
+    assert "s02.csv" in err and "Is a directory" in err
+    assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+    _no_child_left()
+
+
+def test_a_failed_write_removes_an_earlier_manifest(tmp_path, cohort):
+    recordings, profiles = cohort
+    write_dataset(tmp_path / "ds", recordings, profiles, 5, [(1, 2)])
+    (tmp_path / "ds" / "s01.csv").unlink()
+    (tmp_path / "ds" / "s01.csv").mkdir()
+    with pytest.raises(IsADirectoryError, match="s01.csv"):
+        write_dataset(tmp_path / "ds", recordings, profiles, 5, [(1, 2)])
+    assert not (tmp_path / "ds" / "manifest.json").exists()
 
 
 def test_manifest_schema_and_tamper_detection(tmp_path, cohort):

@@ -80,6 +80,32 @@ def test_losocv_benchmark_and_determinism(tiny_windows):
     assert a.loa["per_class"]  # chair classes present in every subject
 
 
+class _Unpicklable(dict):
+    def __reduce_ex__(self, protocol):
+        raise TypeError("the windows were pickled")
+
+
+@pytest.mark.forked
+@pytest.mark.skipif(not hasattr(os, "fork"),
+                    reason="pool workers inherit the windows when forked")
+def test_losocv_pool_workers_inherit_the_windows(tiny_windows, monkeypatch):
+    """The pool forks its workers with the windows in memory and sends each
+    only a `Fold`: windows that cannot be pickled still run, with the
+    outcomes of a plain dict."""
+    want = losocv_benchmark(tiny_windows, MC, TC)
+    forks = _split_across(monkeypatch, None)
+    got = losocv_benchmark(_Unpicklable(tiny_windows), MC, TC)
+    assert len(forks) == forked.processes(3)
+    assert got.loa == want.loa
+    for a, b in zip(got.outcomes, want.outcomes, strict=True):
+        assert a.fold == b.fold
+        assert a.scores == b.scores and a.curves == b.curves
+        assert all(map(np.array_equal, a.labels, b.labels))
+        assert a.params.keys() == b.params.keys()
+        assert all(np.array_equal(a.params[k], b.params[k])
+                   for k in a.params)
+
+
 @pytest.mark.forked
 def test_evaluate_model_predicts_every_subject_in_one_call(monkeypatch):
     # unequal window counts, so a label cut back at the wrong edge shows

@@ -20,9 +20,9 @@ from repseg.synth import (
     generate_recording,
     make_cohort,
     make_profile,
-    sts_peak_velocity,
     windowize,
 )
+from oracles import sts_peak_velocity
 
 
 def flat_profile(subject_id="s00", **over):

@@ -50,9 +50,9 @@ def tiny_dataset(n_windows=4, t_len=40, n_channels=6, seed=0):
 
 
 def _split_across(monkeypatch, n_cpus) -> list:
-    """Make `predict` and `train_fold` see `n_cpus` CPUs (None: the real
-    affinity set); returns a list that gains one entry per `os.fork` the
-    caller makes."""
+    """Make `predict`, `train_fold` and `write_dataset` see `n_cpus` CPUs
+    (None: the real affinity set); returns a list that gains one entry per
+    `os.fork` the caller makes."""
     forks = []
     real_fork = os.fork
 

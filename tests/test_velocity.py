@@ -7,7 +7,7 @@ import pytest
 import scipy.signal
 
 from repseg.metrics import Segment
-from repseg.synth import AX, DEFAULT_PLAN, generate_recording, sts_peak_velocity
+from repseg.synth import AX, DEFAULT_PLAN, generate_recording
 from repseg.velocity import (
     RepetitionKinematics,
     StillWindowError,
@@ -20,6 +20,7 @@ from repseg.velocity import (
     lowpass,
     per_repetition_kinematics,
 )
+from oracles import sts_peak_velocity
 from test_synth import flat_profile
 
 
