@@ -12,7 +12,7 @@ import numpy as np
 
 from repseg.model import ModelConfig
 from repseg.synth import make_cohort, windowize
-from repseg.train import TrainConfig, sample_accuracy, train_fold
+from repseg.train import TrainConfig, predict, train_fold
 
 recs, _ = make_cohort(1, plan=[(1, 2), (2, 2), (4, 1)], seed=13)
 pairs = windowize(recs[0], 160)
@@ -34,6 +34,6 @@ print(f"{'epoch':>5}  {'total':>9}  {'ce':>9}  {'mse':>9}")
 for ep in result.epochs:
     print(f"{ep.epoch:>5}  {ep.loss:>9.4f}  {ep.ce:>9.5f}  {ep.mse:>9.5f}")
 
-acc = sample_accuracy(result.model, samples, labels)
+acc = np.mean(predict(result.model, samples) == labels)
 print(f"\ntrain accuracy {acc:.3f} after {elapsed:.1f} s "
       f"({len(result.steps)} optimizer steps)")

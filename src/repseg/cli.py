@@ -46,12 +46,16 @@ def _parse_plan(text: str) -> list[tuple[int, int]]:
 
 
 def _parse_window(text: str) -> tuple[int, int]:
+    """Window syntax: 'start:end' with 0 <= start < end."""
     try:
-        a, b = text.split(":")
-        return int(a), int(b)
-    except ValueError as exc:
+        a, b = map(int, text.split(":"))
+    except ValueError:
+        a = b = -1
+    if not 0 <= a < b:
         raise argparse.ArgumentTypeError(
-            f"bad window {text!r}; expected 'start:end'") from exc
+            f"bad window {text!r}; expected 'start:end' with "
+            f"0 <= start < end")
+    return a, b
 
 
 def _parse_iou_threshold(text: str) -> float:
@@ -67,12 +71,11 @@ def _parse_iou_threshold(text: str) -> float:
     return value
 
 
-def _report_skeleton(command: str, seed: int, started: float) -> dict:
+def _report_skeleton(command: str, started: float) -> dict:
     return {
         "format_version": REPORT_FORMAT,
         "kind": "run_report",
         "command": command,
-        "seed": int(seed),
         "wall_clock_s": time.perf_counter() - started,
     }
 
@@ -128,7 +131,8 @@ def cmd_train(args) -> int:
     model_config, train_config = _build_configs(args)
     dataset = read_dataset(args.data)
     out_dir = Path(args.out)
-    report = _report_skeleton("train", train_config.seed, started)
+    report = _report_skeleton("train", started)
+    report["seed"] = train_config.seed
     report["dataset"] = str(args.data)
     report["model_config"] = model_config.to_dict()
     report["train_config"] = train_config.to_dict()
@@ -193,7 +197,7 @@ def cmd_evaluate(args) -> int:
     models = [(path, load_checkpoint(path))
               for path in map(Path, args.checkpoints or [])]
     dataset = read_dataset(args.data)
-    report = _report_skeleton("evaluate", args.seed, started)
+    report = _report_skeleton("evaluate", started)
     report["dataset"] = str(args.data)
     report["iou_threshold"] = args.iou_threshold
 
@@ -233,7 +237,7 @@ def cmd_velocity(args) -> int:
         model = load_checkpoint(args.checkpoint)
     dataset = read_dataset(args.data, subjects=[args.subject])
     rec = dataset.by_subject(args.subject)
-    report = _report_skeleton("velocity", args.seed, started)
+    report = _report_skeleton("velocity", started)
     report["dataset"] = str(args.data)
     report["subject"] = args.subject
 
@@ -246,11 +250,17 @@ def cmd_velocity(args) -> int:
         segments = labels_to_segments(predict(model, samples).reshape(-1))
 
     vertical = rec.signal[:, 0]
+    if args.still_window is not None and args.still_window[1] > vertical.size:
+        raise DataFormatError(
+            f"still window {args.still_window[0]}:{args.still_window[1]} "
+            f"ends past subject {args.subject}'s {vertical.size} samples")
     try:
         result = chair_rising_velocity(vertical, segments,
                                        sample_rate=rec.sample_rate,
                                        still_window=args.still_window)
     except StillWindowError as exc:
+        if args.still_window is not None:
+            raise
         print(f"no usable still window: {exc}\n"
               f"pass --still-window start:end to override", file=sys.stderr)
         return EXIT_NUMERIC
@@ -314,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="score the ground truth against itself")
     e.add_argument("--iou-threshold", type=_parse_iou_threshold,
                    default=0.75, dest="iou_threshold")
-    e.add_argument("--seed", type=int, default=0)
     e.add_argument("--report", default=None)
     e.set_defaults(func=cmd_evaluate)
 
@@ -326,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="use_true_labels")
     v.add_argument("--still-window", type=_parse_window, default=None,
                    dest="still_window", help="manual override, 'start:end'")
-    v.add_argument("--seed", type=int, default=0)
     v.add_argument("--report", default=None)
     v.set_defaults(func=cmd_velocity)
     return parser

@@ -21,7 +21,6 @@ raw little-endian float64, so load(save(model)) is bit-identical.
 from __future__ import annotations
 
 import base64
-import functools
 import hashlib
 import json
 import math
@@ -177,9 +176,9 @@ def write_dataset(out_dir, recordings: list[Recording],
                   plan: list[tuple[int, int]]) -> Path:
     """Write one CSV per subject plus manifest.json; returns the manifest.
 
-    The caller writes the CSVs of the first of `forked.shares` and a forked
-    child each other share's. A file that cannot be written raises the
-    OSError its `open` or write raised, before manifest.json is written."""
+    The subjects' CSVs are shared round-robin over forked processes
+    (`forked.map_items`). A file that cannot be written raises the OSError
+    its `open` or write raised, before manifest.json is written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not recordings:
@@ -193,29 +192,8 @@ def write_dataset(out_dir, recordings: list[Recording],
     path = out_dir / "manifest.json"
     path.unlink(missing_ok=True)  # a manifest from an earlier write
     csvs = [out_dir / f"{rec.subject_id}.csv" for rec in recordings]
-    errnos = np.zeros(len(csvs), dtype=np.int64)
-    shares = forked.shares(len(csvs), forked.processes(len(csvs)))
-
-    def fill(share: slice) -> np.ndarray:
-        for k in range(share.start, share.stop):
-            try:
-                _write_subject_csv(csvs[k], recordings[k])
-            except OSError as exc:  # stop there, as one loop over all would
-                errnos[k] = exc.errno
-                break
-        return errnos[share]
-
-    def send_share(share: slice, stream) -> None:
-        forked.send(stream, [fill(share)])
-
-    with forked.run([functools.partial(send_share, share)
-                     for share in shares[1:]]) as children:
-        fill(shares[0])
-        for child, share in zip(children, shares[1:]):
-            forked.receive_into(child.stream, errnos[share])
-    for csv, code in zip(csvs, errnos.tolist()):
-        if code:
-            raise OSError(code, os.strerror(code), str(csv))
+    forked.map_items(lambda pair: _write_subject_csv(*pair),
+                     list(zip(csvs, recordings)))
     manifest = {
         "format_version": DATASET_FORMAT,
         "kind": "dataset",
@@ -542,8 +520,7 @@ _FOLD_SCHEMA = {
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
-    "required": ["format_version", "kind", "command", "seed",
-                 "wall_clock_s"],
+    "required": ["format_version", "kind", "command", "wall_clock_s"],
     "properties": {
         "format_version": {"const": REPORT_FORMAT},
         "kind": {"const": "run_report"},

@@ -83,14 +83,14 @@ def evaluate_model(model: Model, subject_windows: dict,
                    iou_threshold: float = 0.75) -> tuple[dict, list]:
     """Predict every subject's windows, then `score` them per subject.
 
-    The windows go to one `predict` call, stacked in `subject_windows`
-    order, so a split forks once however many subjects there are; the
-    labels are then cut back per subject. Returns the scoring section and
-    the per-subject (truth, predicted) flat label arrays it scored, in
-    `subject_windows` order.
+    Every subject's windows go to one `predict` call as views into the
+    per-subject stacks, so a split forks once however many subjects there
+    are and no window is copied; the labels are then cut back per subject.
+    Returns the scoring section and the per-subject (truth, predicted) flat
+    label arrays it scored, in `subject_windows` order.
     """
     stacks = list(subject_windows.values())
-    predicted = predict(model, np.concatenate([s for s, _ in stacks]))
+    predicted = predict(model, [w for samples, _ in stacks for w in samples])
     edges = np.cumsum([len(s) for s, _ in stacks])[:-1]
     labels = [(np.asarray(truth, dtype=np.int64).reshape(-1), pred.reshape(-1))
               for (_, truth), pred in zip(stacks, np.split(predicted, edges))]
@@ -166,23 +166,24 @@ class BenchmarkResult:
         return aggregate([o.scores for o in self.outcomes])
 
 
-def _inherited_fold(fold: Fold) -> FoldOutcome:
-    """Pool task: `run_fold` on the windows and settings the worker
-    inherited from `losocv_benchmark`."""
-    subject_windows, *settings = forked.inherited
-    return run_fold(subject_windows, fold, *settings)
+def _run_folds(subject_windows: dict, tasks: list, model_config: ModelConfig,
+               iou_threshold: float) -> list[FoldOutcome]:
+    """`run_fold` of every (fold, train config) task, shared round-robin
+    over forked processes that inherit the windows; each fold trains and
+    predicts serially inside its process."""
+    return forked.map_items(
+        lambda task: run_fold(subject_windows, task[0], model_config,
+                              task[1], iou_threshold), tasks)
 
 
 def losocv_benchmark(subject_windows: dict, model_config: ModelConfig,
                      train_config: TrainConfig,
                      iou_threshold: float = 0.75) -> BenchmarkResult:
-    """Train and score every leave-one-subject-out fold on a pinned pool;
-    the workers inherit the windows, so a task carries only its `Fold`."""
+    """Train and score every leave-one-subject-out fold."""
     folds = make_losocv(list(subject_windows))
-    with forked.single_cpu_pool(len(folds), payload=(
-            subject_windows, model_config, train_config,
-            iou_threshold)) as pool:
-        outcomes = list(pool.map(_inherited_fold, folds))
+    outcomes = _run_folds(subject_windows,
+                          [(fold, train_config) for fold in folds],
+                          model_config, iou_threshold)
     pooled = score([o.labels for o in outcomes], model_config.n_classes,
                    iou_threshold)
     return BenchmarkResult(outcomes=outcomes, loa=pooled.get("loa"))
@@ -234,15 +235,18 @@ def mask_ratio_sweep(subject_windows: dict, model_config: ModelConfig,
                      train_config: TrainConfig,
                      ratios=SWEEP_RATIOS, seeds_for=default_sweep_seeds,
                      iou_threshold: float = 0.75) -> SweepResult:
-    """LOSOCV benchmark per mask ratio; seed count per ratio via seeds_for."""
-    result = SweepResult()
-    for ratio in ratios:
-        seeds = seeds_for(ratio)
-        per_seed = []
-        for seed in seeds:
-            cfg = replace(train_config, mask_ratio=ratio, seed=seed)
-            bench = losocv_benchmark(subject_windows, model_config, cfg,
-                                     iou_threshold)
-            per_seed.append(bench.mean_macro_sample_f1)
-        result.rows.append(SweepRow(ratio, list(seeds), per_seed))
-    return result
+    """LOSOCV benchmark per mask ratio; seed count per ratio via seeds_for.
+
+    Every fold of every (ratio, seed) is one task of one `_run_folds`
+    call; each seed's value is the mean macro sample F1 of its folds."""
+    folds = make_losocv(list(subject_windows))
+    plan = [(ratio, list(seeds_for(ratio))) for ratio in ratios]
+    outcomes = _run_folds(subject_windows, [
+        (fold, replace(train_config, mask_ratio=ratio, seed=seed))
+        for ratio, seeds in plan for seed in seeds for fold in folds],
+        model_config, iou_threshold)
+    per_seed = iter(aggregate([o.scores for o in outcomes[k:k + len(folds)]])
+                    ["mean_macro_sample_f1"]
+                    for k in range(0, len(outcomes), len(folds)))
+    return SweepResult([SweepRow(ratio, seeds, [next(per_seed) for _ in seeds])
+                        for ratio, seeds in plan])

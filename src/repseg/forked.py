@@ -1,16 +1,16 @@
 """Work shared with forked processes: the one module that forks, opens
-sockets, reads or sets CPU affinity and sets OpenBLAS's thread count.
+sockets, reads CPU affinity and sets OpenBLAS's thread count.
 
-`processes(limit)` says how many processes to split work over, and
-`shares` cuts the work into contiguous shares, the larger ones first; the
-caller runs the first share. `run(works)` forks one child per other share,
-which inherits the caller's memory (nothing is pickled) and talks to it
-over a buffered stream. Arrays cross as raw bytes (`send`, `receive_into`),
-in an order both sides know. While children run every process uses one BLAS
-thread, as two processes with two threads each oversubscribe two cores.
-`single_cpu_pool` has `processes` workers, each pinned to a CPU of its own,
-so the work inside a worker stays serial; they inherit the payload every
-task reads (`inherited`).
+`processes(limit)` says how many processes to split work over. `run(works)`
+forks one child per work, which inherits the caller's memory (nothing is
+pickled on the way in) and talks to it over a buffered stream. While
+children run every process uses one BLAS thread, as two processes with two
+threads each oversubscribe two cores, and `processes` says 1, so work
+nested in a share stays serial. `map_items(fn, items)` is the map on top of
+`run`: item k goes to process k mod n, and each child sends back one pickle
+of its results. `train_fold`'s worker talks to the caller at every step
+instead: arrays cross as raw bytes (`send`, `receive_into`) in an order
+both sides know, and `shares` cuts a batch into contiguous shares.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ import contextlib
 import ctypes
 import functools
 import itertools
-import multiprocessing
 import os
+import pickle
 import signal
 import socket
 import sys
 import traceback
 import typing
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -57,11 +56,18 @@ def blas_threads():
     return None
 
 
+# true while a `run` block with children is open, in its caller and in
+# every child it forked
+_splitting = False
+
+
 def processes(limit: int) -> int:
     """How many processes to split `limit` units of work over: one per CPU
-    this process may run on, at most `limit`; 1 without CPU affinity (which
-    implies `os.fork`) or a BLAS whose thread count can be set."""
-    if not hasattr(os, "sched_getaffinity") or blas_threads() is None:
+    this process may run on, at most `limit`; 1 inside a `run` block that
+    forked (the caller's and its children's), without CPU affinity (which
+    implies `os.fork`) or without a BLAS whose thread count can be set."""
+    if (_splitting or not hasattr(os, "sched_getaffinity")
+            or blas_threads() is None):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), limit))
 
@@ -131,19 +137,22 @@ def _fork(work, siblings: list[Child]) -> Child:
 @contextlib.contextmanager
 def run(works: list):
     """Run each of `works` in a forked child (see `_fork`) while the block
-    runs, every process with one BLAS thread; yields the children.
+    runs, every process with one BLAS thread and `processes` at 1; yields
+    the children.
 
     On leaving, every stream is closed and every child reaped, killed first
     if the block raised, so its exception is the one that surfaces; the
     BLAS thread count is restored. A child that exited non-zero after a
     block that did not raise is a RuntimeError.
     """
+    global _splitting
     if not works:
         yield []
         return
     get_threads, set_threads = blas_threads()
     threads = get_threads()
     set_threads(1)
+    splitting, _splitting = _splitting, True
     children: list[Child] = []
     done = False
     codes = []
@@ -162,49 +171,51 @@ def run(works: list):
             codes.append(os.waitstatus_to_exitcode(
                 os.waitpid(child.pid, 0)[1]))
         set_threads(threads)
+        _splitting = splitting
     failed = [code for code in codes if code != 0]
     if failed:
         raise RuntimeError(f"{len(failed)} of {len(codes)} forked children "
                            f"failed, exit statuses {failed}")
 
 
-# the payload of the `single_cpu_pool` this worker process belongs to
-inherited = None
+def _apply(fn, items) -> tuple[list, Exception | None]:
+    """`fn` of each item in order up to the first exception: the results
+    before it, and the exception or None."""
+    done = []
+    try:
+        for item in items:
+            done.append(fn(item))
+    except Exception as exc:
+        return done, exc
+    return done, None
 
 
-def _start_worker(payload, cpus: list[int] | None, started) -> None:
-    """Pool initializer: keep `payload` as `inherited`, then run this
-    worker on the CPU of `cpus` after the one the previous worker took
-    (`started` counts them). BLAS gets one thread too, as a second one
-    would only contend for the same CPU."""
-    global inherited
-    inherited = payload
-    if cpus is None:
-        return
-    with started.get_lock():
-        index = started.value
-        started.value += 1
-    os.sched_setaffinity(0, {cpus[index % len(cpus)]})
-    blas = blas_threads()
-    if blas is not None:
-        _, set_threads = blas
-        set_threads(1)
+def map_items(fn, items) -> list:
+    """`[fn(x) for x in items]` over `processes(len(items))` processes.
 
+    Item k runs in process k mod n, the caller's share being 0: folds and
+    windows differ in cost along the list, and round-robin evens out what
+    contiguous shares would not. Each share runs in order and stops at its
+    first exception; a child sends one pickle of its results and that
+    exception. The raised exception is the lowest-index one, the one a
+    serial loop would raise. A result or exception that cannot be pickled
+    fails its child, which surfaces as RuntimeError (see `run`)."""
+    n = processes(len(items))
 
-def single_cpu_pool(n_tasks: int, payload=None) -> ProcessPoolExecutor:
-    """`processes(n_tasks)` worker processes, each pinned to a CPU of its
-    own where the platform allows. `processes` inside a worker then sees one
-    CPU, so the work stays in that worker: split again, two workers would
-    run four processes on two cores, meeting at every training step.
+    def serve(part: int, stream: typing.BinaryIO) -> None:
+        stream.write(pickle.dumps(_apply(fn, items[part::n])))
 
-    A task reads `payload` as `inherited`. Where `os.fork` exists the
-    workers are forked, so the payload is inherited, never pickled, and a
-    task carries only its own arguments."""
-    context = multiprocessing.get_context(
-        "fork" if hasattr(os, "fork") else None)
-    cpus = sorted(os.sched_getaffinity(0)) \
-        if hasattr(os, "sched_setaffinity") else None
-    return ProcessPoolExecutor(
-        max_workers=processes(n_tasks), mp_context=context,
-        initializer=_start_worker,
-        initargs=(payload, cpus, context.Value("i", 0)))
+    with run([functools.partial(serve, part)
+              for part in range(1, n)]) as children:
+        outcomes = [_apply(fn, items[::n])]
+        sent = [child.stream.read() for child in children]
+    outcomes += map(pickle.loads, sent)
+    errors = [(part + n * len(done), error)
+              for part, (done, error) in enumerate(outcomes)
+              if error is not None]
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    results = [None] * len(items)
+    for part, (done, _) in enumerate(outcomes):
+        results[part::n] = done
+    return results

@@ -9,10 +9,10 @@ exists and its graph is freed before the next forward: a step holds one
 route's graph at a time, whatever the batch size. Leave-one-subject-out
 splits live here too.
 
-Both training and `predict` run on every CPU the process may use: the
-caller computes the first share of the work and a forked child (`forked`)
-each of the others. In a training step the worker's share is the second
-half of the batch. Caller and worker iterate one step loop
+Both training and `predict` run on every CPU the process may use, the
+caller computing one share of the work and a forked child (`forked`) each
+of the others. In a training step the worker's share is the second half of
+the batch. Caller and worker iterate one step loop
 (`_FoldRun.steps` and `_FoldRun.step_routes`), which draws and orders every
 route alike in both, and the caller adds the worker's gradients after its
 own in batch order, so the result equals the serial loop bit for bit.
@@ -51,7 +51,8 @@ class TrainingDivergedError(RuntimeError):
         self.mse = mse
 
     def __reduce__(self):
-        # the message alone is not enough to rebuild one from a pool worker
+        # the message alone is not enough to rebuild one sent by a forked
+        # child
         return type(self), (self.epoch, self.step, self.loss, self.ce,
                             self.mse)
 
@@ -363,45 +364,17 @@ def train_fold(samples: np.ndarray, labels: np.ndarray,
     return result
 
 
-def predict(model: Model, samples: np.ndarray) -> np.ndarray:
-    """Per-sample argmax labels for a stack of unmasked windows (W, T).
+def predict(model: Model, windows) -> np.ndarray:
+    """Per-sample argmax labels (W, T) for a sequence of unmasked (T, N)
+    windows: a (W, T, N) stack, a list of views, or one (T, N) window.
 
-    The windows are split into one contiguous share per CPU this process
-    may run on (`forked.processes`). The caller predicts the first share
-    and a forked child each of the others, which inherits the model and
-    sends back its labels as int64. While they run, every process uses one
-    BLAS thread: a second one buys little at these shapes, and two
-    processes with two BLAS threads each on two cores ran slower than one
-    process alone.
+    The windows are shared round-robin over one process per CPU this
+    process may run on (`forked.map_items`); each child inherits the model
+    and sends back its labels. While they run, every process uses one BLAS
+    thread: a second one buys little at these shapes, and two processes
+    with two BLAS threads each on two cores ran slower than one process
+    alone.
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim == 2:
-        samples = samples[None]
-    labels = np.empty(samples.shape[:2], dtype=np.int64)
-    shares = forked.shares(samples.shape[0],
-                           forked.processes(samples.shape[0]))
-
-    def fill(share: slice) -> np.ndarray:
-        for i in range(share.start, share.stop):
-            labels[i] = model.predict_labels(samples[i])
-        return labels[share]
-
-    def send_share(share: slice, stream) -> None:
-        forked.send(stream, [fill(share)])
-
-    with forked.run([functools.partial(send_share, share)
-                     for share in shares[1:]]) as children:
-        fill(shares[0])
-        for child, share in zip(children, shares[1:]):
-            forked.receive_into(child.stream, labels[share])
-    return labels
-
-
-def sample_accuracy(model: Model, samples: np.ndarray,
-                    labels: np.ndarray) -> float:
-    """Fraction of samples whose predicted class matches the label."""
-    preds = predict(model, samples)
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim == 1:
-        labels = labels[None]
-    return float(np.mean(preds == labels))
+    if getattr(windows, "ndim", None) == 2:
+        windows = [windows]
+    return np.stack(forked.map_items(model.predict_labels, windows))

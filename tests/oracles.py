@@ -11,7 +11,7 @@ a one-shot SHA-256 of a checkpoint payload's whole canonical JSON text.
 
 Also helpers only the tests use: labels painted from segments (the inverse
 of `labels_to_segments`), the closed-form peak of a sit-to-stand velocity,
-and a checked read of a run report.
+a checked read of a run report, and a model's sample accuracy on windows.
 """
 
 from functools import lru_cache
@@ -25,6 +25,7 @@ import numpy as np
 
 from repseg.dataio import check_report_structure
 from repseg.metrics import Segment, validate_segments
+from repseg.train import predict
 
 
 def iou_ref(t: Segment, p: Segment) -> float:
@@ -230,3 +231,8 @@ def read_report(path):
     report = json.loads(Path(path).read_text())
     check_report_structure(report)
     return report
+
+
+def sample_accuracy(model, samples, labels) -> float:
+    """Fraction of samples whose predicted class matches the label."""
+    return float(np.mean(predict(model, samples) == labels))

@@ -27,7 +27,7 @@ from repseg.metrics import (Segment, confusion_matrix, count_loa,
                             labels_to_segments, sample_f1, segmental_iou_f1)
 from repseg.model import Model, ModelConfig, SignalWindow, param_shapes
 from repseg.synth import make_cohort, windowize
-from repseg.train import TrainConfig, train_fold, sample_accuracy
+from repseg.train import TrainConfig, train_fold
 from repseg.velocity import (chair_rising_velocity, estimate_gravity,
                              find_still_window, integrate_velocity, lowpass,
                              VelocityParams)
@@ -219,7 +219,7 @@ def test_criterion_5_overfits_eight_windows():
     tc = TrainConfig(batch_size=4, epochs=300, learning_rate=1e-2, seed=0,
                      mask_ratio=0.5, patch_len=16)
     result = train_fold(samples, labels, mc, tc)
-    acc = sample_accuracy(result.model, samples, labels)
+    acc = oracles.sample_accuracy(result.model, samples, labels)
     elapsed = time.perf_counter() - t0
 
     assert acc >= 0.95

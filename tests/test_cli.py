@@ -111,7 +111,7 @@ def test_train_losocv_writes_checkpoints_and_report(workspace):
 
 
 def test_train_jobs_flag_is_usage_error(workspace, tmp_path, capsys):
-    # LOSOCV's pool takes its size from the CPU affinity set (taskset)
+    # LOSOCV folds share the CPUs of the affinity set (taskset)
     with pytest.raises(SystemExit) as exc:
         main(["train", "--data", str(workspace / "data"), "--losocv",
               "--config", str(workspace / "config.json"),
@@ -469,8 +469,8 @@ def test_velocity_without_chair_segments(tmp_path, capsys):
     assert "no chair-rising segments" in capsys.readouterr().out
 
 
-def test_velocity_still_window_failure_exit_code(tmp_path, capsys):
-    # recording whose vertical axis never goes quiet
+def _never_still_dataset(tmp_path):
+    """A one-subject dataset whose vertical axis never goes quiet."""
     import csv
     rng = np.random.default_rng(0)
     d = tmp_path / "d"
@@ -482,10 +482,66 @@ def test_velocity_still_window_failure_exit_code(tmp_path, capsys):
                             + rng.normal(0, 0.4)))
     (d / "s00.csv").write_text(
         "\n".join(",".join(r) for r in rows) + "\n")
+    return d
+
+
+def test_velocity_still_window_failure_exit_code(tmp_path, capsys):
+    d = _never_still_dataset(tmp_path)
     code = main(["velocity", "--data", str(d), "--subject", "s00",
                  "--use-true-labels"])
     assert code == 4
     assert "--still-window" in capsys.readouterr().err
+
+
+def test_velocity_user_still_window_too_dynamic_gets_no_hint(tmp_path,
+                                                             capsys):
+    # the hint to pass --still-window is for the automatic search alone
+    d = _never_still_dataset(tmp_path)
+    code = main(["velocity", "--data", str(d), "--subject", "s00",
+                 "--use-true-labels", "--still-window", "0:200"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "too dynamic" in err
+    assert "--still-window" not in err
+
+
+@pytest.mark.parametrize("window", ["5:3", "7:7", "-1:100", "0:x"])
+def test_velocity_still_window_not_start_before_end_is_usage_error(
+        workspace, tmp_path, capsys, window):
+    with pytest.raises(SystemExit) as exc:
+        main(["velocity", "--data", str(workspace / "data"),
+              "--subject", "s00", "--use-true-labels",
+              f"--still-window={window}",
+              "--report", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    assert "0 <= start < end" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_velocity_still_window_past_the_recording_is_data_error(
+        workspace, tmp_path, capsys):
+    code = main(["velocity", "--data", str(workspace / "data"),
+                 "--subject", "s00", "--use-true-labels",
+                 "--still-window", "0:100000",
+                 "--report", str(tmp_path / "r.json")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error: still window 0:100000 ends past subject s00's" in err
+    assert "override" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "velocity"])
+def test_seed_is_usage_error_where_nothing_is_drawn(workspace, tmp_path,
+                                                    capsys, command):
+    argv = {"evaluate": ["--oracle"],
+            "velocity": ["--subject", "s00", "--use-true-labels"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--data", str(workspace / "data"), *argv,
+              "--seed", "0", "--report", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_missing_dataset_is_data_error(tmp_path, capsys):

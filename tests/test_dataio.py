@@ -146,16 +146,16 @@ def test_dataset_csv_matches_the_row_by_row_writer_on_awkward_floats(
 @pytest.mark.parametrize("n_cpus", [1, 2])
 def test_unwritable_csv_exits_3_naming_it_and_leaves_no_manifest(
         tmp_path, monkeypatch, capsys, n_cpus):
-    """s02.csv falls in the child's share on two CPUs: its errno crosses to
-    the caller, which raises what the serial write raises."""
+    """s01.csv falls in the child's share on two CPUs: its OSError crosses
+    to the caller, which raises what the serial write raises."""
     out = tmp_path / "ds"
-    (out / "s02.csv").mkdir(parents=True)
+    (out / "s01.csv").mkdir(parents=True)
     forks = _split_across(monkeypatch, n_cpus)
     assert main(["generate", "--subjects", "3", "--seed", "5",
                  "--out", str(out)]) == 3
     assert len(forks) == (1 if SPLITS and n_cpus == 2 else 0)
     err = capsys.readouterr().err
-    assert "s02.csv" in err and "Is a directory" in err
+    assert "s01.csv" in err and "Is a directory" in err
     assert "Traceback" not in err
     assert not (out / "manifest.json").exists()
     _no_child_left()

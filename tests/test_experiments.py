@@ -2,7 +2,6 @@
 end-to-end leave-one-subject-out run, and the sweep table layout."""
 
 import os
-import time
 
 import numpy as np
 import pytest
@@ -87,15 +86,16 @@ class _Unpicklable(dict):
 
 @pytest.mark.forked
 @pytest.mark.skipif(not hasattr(os, "fork"),
-                    reason="pool workers inherit the windows when forked")
+                    reason="forked processes inherit the windows")
 def test_losocv_pool_workers_inherit_the_windows(tiny_windows, monkeypatch):
-    """The pool forks its workers with the windows in memory and sends each
-    only a `Fold`: windows that cannot be pickled still run, with the
-    outcomes of a plain dict."""
+    """The folds' processes are forked with the windows in memory, so
+    nothing pickles them: windows that cannot be pickled still run, with
+    the outcomes of a plain dict. A fold in a share trains and predicts
+    without forking again."""
     want = losocv_benchmark(tiny_windows, MC, TC)
     forks = _split_across(monkeypatch, None)
     got = losocv_benchmark(_Unpicklable(tiny_windows), MC, TC)
-    assert len(forks) == forked.processes(3)
+    assert len(forks) == forked.processes(3) - 1
     assert got.loa == want.loa
     for a, b in zip(got.outcomes, want.outcomes, strict=True):
         assert a.fold == b.fold
@@ -153,8 +153,8 @@ def test_default_sweep_seeds():
                     reason="CPU affinity is a Linux call")
 def test_mask_ratio_sweep_values_do_not_depend_on_the_cpu_count(
         tiny_windows, monkeypatch):
-    """The pool has a worker per CPU of the affinity set; the values are
-    the same with the real set as with one CPU of it."""
+    """The folds are shared over a process per CPU of the affinity set;
+    the values are the same with the real set as with one CPU of it."""
     def sweep():
         return [r.per_seed for r in mask_ratio_sweep(
             tiny_windows, MC, TC, ratios=(0.0, 0.5),
@@ -164,26 +164,6 @@ def test_mask_ratio_sweep_values_do_not_depend_on_the_cpu_count(
     cpu = min(os.sched_getaffinity(0))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {cpu})
     assert sweep() == real
-
-
-def _worker_cpus(_):
-    time.sleep(0.1)  # long enough that every worker takes a task
-    return os.getpid(), os.sched_getaffinity(0)
-
-
-@pytest.mark.forked
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
-                    reason="CPU affinity is a Linux call")
-def test_each_fold_pool_worker_runs_on_one_cpu_of_its_own():
-    cpus = os.sched_getaffinity(0)
-    with forked.single_cpu_pool(6) as pool:
-        seen = dict(pool.map(_worker_cpus, range(6)))
-    assert all(len(worker) == 1 and worker <= cpus
-               for worker in seen.values())
-    # one worker per CPU, never more, each on a CPU of its own
-    assert len(seen) == forked.processes(6) <= len(cpus)
-    assert len(set.union(*seen.values())) == len(seen)
-    assert os.sched_getaffinity(0) == cpus  # the caller is not pinned
 
 
 def test_mask_ratio_sweep_table(tiny_windows):

@@ -1,14 +1,19 @@
-"""The forked-work contract: how work is cut into shares, and that a child
-waiting on the caller leaves once the caller's end of its stream closes."""
+"""The forked-work contract: how work is cut into shares, that a child
+waiting on the caller leaves once the caller's end of its stream closes,
+and `map_items`: results in item order, item k in process k mod n, serial
+work inside a share, and the exception a serial loop would raise."""
 
+import errno
 import os
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repseg import forked
-from test_train import _no_child_left, can_split
+from repseg.train import TrainingDivergedError
+from test_train import _no_child_left, _split_across, can_split
 
 
 @pytest.mark.forked
@@ -46,4 +51,78 @@ def test_each_child_exits_once_the_caller_closes_its_end(capfd):
                 child.stream.close()
                 _wait_for_exit(child.pid)
     assert capfd.readouterr().err.count("closed after 0 of 32 bytes") == 2
+    _no_child_left()
+
+
+@pytest.mark.forked
+@can_split
+@pytest.mark.parametrize("n_cpus", [2, 3])
+def test_map_items_runs_item_k_in_process_k_mod_n(monkeypatch, n_cpus):
+    """Results come back in item order; item k runs in process k mod n,
+    the caller's share 0; inside every share `processes` is 1, and after
+    the block the caller's count is back."""
+    forks = _split_across(monkeypatch, n_cpus)
+    got = forked.map_items(
+        lambda k: (k * k, os.getpid(), forked.processes(8)), range(8))
+    assert [square for square, _, _ in got] == [k * k for k in range(8)]
+    pids = [pid for _, pid, _ in got]
+    assert pids[::n_cpus] == [os.getpid()] * len(pids[::n_cpus])
+    for part in range(1, n_cpus):
+        assert len(set(pids[part::n_cpus])) == 1
+    assert len(set(pids)) == n_cpus == len(forks) + 1
+    assert [inside for _, _, inside in got] == [1] * 8
+    assert forked.processes(8) == n_cpus
+    _no_child_left()
+
+
+def _diverged(k):
+    return TrainingDivergedError(1, k, float("inf"), float("nan"), 0.5)
+
+
+def _unwritable(k):
+    return IsADirectoryError(errno.EISDIR, "Is a directory", f"s{k:02d}.csv")
+
+
+@pytest.mark.forked
+@can_split
+@pytest.mark.parametrize("n_cpus", [1, 2, 3])
+@pytest.mark.parametrize("failing", [
+    {1: _diverged, 2: _unwritable}, {3: _unwritable, 4: _diverged},
+    {2: _diverged, 3: _unwritable}, {4: _unwritable, 5: _diverged}],
+    ids=["diverged_1", "unwritable_3", "diverged_2", "unwritable_4"])
+def test_map_items_raises_the_lowest_index_exception_intact(
+        monkeypatch, capfd, n_cpus, failing):
+    """Whichever share raised it, the exception of the lowest failing item
+    surfaces with its type and fields, and no traceback is printed."""
+    def item(k):
+        if k in failing:
+            raise failing[k](k)
+        return k
+
+    _split_across(monkeypatch, n_cpus)
+    first = min(failing)
+    want = failing[first](first)
+    with pytest.raises(type(want)) as exc:
+        forked.map_items(item, range(8))
+    if isinstance(want, TrainingDivergedError):
+        assert (exc.value.epoch, exc.value.step, exc.value.loss,
+                exc.value.mse) == (1, first, np.inf, 0.5)
+        assert np.isnan(exc.value.ce)
+    else:
+        assert (exc.value.errno, exc.value.filename) \
+            == (errno.EISDIR, f"s{first:02d}.csv")
+    assert str(exc.value) == str(want)
+    assert "Traceback" not in capfd.readouterr().err
+    _no_child_left()
+
+
+@pytest.mark.forked
+@can_split
+def test_map_items_result_that_cannot_be_pickled_is_runtime_error(
+        monkeypatch, capfd):
+    _split_across(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="1 of 1 forked children failed"):
+        forked.map_items(lambda k: threading.Lock() if k else k, range(2))
+    assert "cannot pickle" in capfd.readouterr().err
+    assert forked.processes(2) == 2
     _no_child_left()
