@@ -76,8 +76,8 @@ class Tensor:
 
     `grad` is populated (as a plain ndarray) by `Tape.backward` for tensors
     with `requires_grad=True`; gradients accumulate across backward calls,
-    on one tape or several, until `zero_grad` is called. `uid` names the
-    tensor on a tape; unlike `id()`, it is never reused after it is freed.
+    on one tape or several. `uid` names the tensor on a tape; unlike
+    `id()`, it is never reused after it is freed.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "uid")
@@ -102,9 +102,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self):
-        self.grad = None
 
     def accumulate_grad(self, g: np.ndarray):
         if self.grad is None:
@@ -464,7 +461,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     return _make(out, (x, gain, bias), backward)
 
 
-def dilated_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None,
+def dilated_conv1d(x: Tensor, kernel: Tensor, bias: Tensor,
                    dilation: int) -> Tensor:
     """1-D convolution over time with zero 'same' padding.
 
@@ -482,7 +479,7 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None,
     if x.shape[1] != c_in:
         raise ValueError(f"conv channel mismatch: x has {x.shape[1]}, "
                          f"kernel expects {c_in}")
-    if bias is not None and bias.shape != (c_out,):
+    if bias.shape != (c_out,):
         raise ValueError(f"conv bias must be ({c_out},), got {bias.shape}")
     if dilation < 1:
         raise ValueError(f"dilation must be >= 1, got {dilation}")
@@ -496,8 +493,7 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None,
     out = np.zeros((t_len, c_out))
     for j in range(k):
         out += xp[j * dilation:j * dilation + t_len] @ k_data[j]
-    if bias is not None:
-        out += bias.data
+    out += bias.data
 
     def backward(g):
         g_xp = np.zeros_like(xp)
@@ -506,13 +502,9 @@ def dilated_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None,
             sl = slice(j * dilation, j * dilation + t_len)
             g_xp[sl] += g @ k_data[j].T
             g_k[j] = xp[sl].T @ g
-        g_x = g_xp[pad:pad + t_len]
-        if bias is None:
-            return (g_x, g_k)
-        return (g_x, g_k, g.sum(axis=0))
+        return (g_xp[pad:pad + t_len], g_k, g.sum(axis=0))
 
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    return _make(out, inputs, backward)
+    return _make(out, (x, kernel, bias), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:

@@ -9,8 +9,10 @@ threads each oversubscribe two cores, and `processes` says 1, so work
 nested in a share stays serial. `map_items(fn, items)` is the map on top of
 `run`: item k goes to process k mod n, and each child sends back one pickle
 of its results. `train_fold`'s worker talks to the caller at every step
-instead: arrays cross as raw bytes (`send`, `receive_into`) in an order
-both sides know, and `shares` cuts a batch into contiguous shares.
+instead: it takes the parameter vector and sends back the loss terms of
+its half of the batch and one gradient vector, arrays crossing as raw
+bytes (`send`, `receive_into`); `shares` cuts a batch into contiguous
+shares.
 """
 
 from __future__ import annotations
@@ -198,8 +200,10 @@ def map_items(fn, items) -> list:
     contiguous shares would not. Each share runs in order and stops at its
     first exception; a child sends one pickle of its results and that
     exception. The raised exception is the lowest-index one, the one a
-    serial loop would raise. A result or exception that cannot be pickled
-    fails its child, which surfaces as RuntimeError (see `run`)."""
+    serial loop would raise. If item 0 fails, no index comes before it, so
+    the children are killed at once; a failure at a later index waits for
+    the children's earlier items. A result or exception that cannot be
+    pickled fails its child, which surfaces as RuntimeError (see `run`)."""
     n = processes(len(items))
 
     def serve(part: int, stream: typing.BinaryIO) -> None:
@@ -208,6 +212,8 @@ def map_items(fn, items) -> list:
     with run([functools.partial(serve, part)
               for part in range(1, n)]) as children:
         outcomes = [_apply(fn, items[::n])]
+        if not outcomes[0][0] and outcomes[0][1] is not None:
+            raise outcomes[0][1]
         sent = [child.stream.read() for child in children]
     outcomes += map(pickle.loads, sent)
     errors = [(part + n * len(done), error)

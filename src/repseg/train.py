@@ -11,14 +11,14 @@ splits live here too.
 
 Both training and `predict` run on every CPU the process may use, the
 caller computing one share of the work and a forked child (`forked`) each
-of the others. In a training step the worker's share is the second half of
-the batch. Caller and worker iterate one step loop
-(`_FoldRun.steps` and `_FoldRun.step_routes`), which draws and orders every
-route alike in both, and the caller adds the worker's gradients after its
-own in batch order, so the result equals the serial loop bit for bit.
-Every parameter lives in one flat vector and every gradient in another
-(`Model.data`, `Model.gradient`), so Adam, the zeroing and each message
-between the processes handle one array.
+of the others. A training step's gradient is the sum of two vectors, one
+per half of the batch, each accumulated from zero: a serial process runs
+both halves, and a split step has a worker run the second and send back
+its loss terms and vector. Both processes draw every window's random
+values in batch order (`_FoldRun.draw`), so the two ways agree bit for
+bit. Every parameter lives in one flat vector and every gradient in
+another (`Model.data`, `Model.gradient`), so Adam, the zeroing and each
+message between the processes handle one array.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ class TrainResult:
         }
 
 
-def _mean_of(terms: list[float]) -> float:
+def _mean_of(terms: tuple[float, ...]) -> float:
     # a left-to-right sum times 1/n, the float operations of the batch mean
     # as a tape computes it, so a StepRecord holds that loss bit for bit
     total = terms[0]
@@ -186,115 +186,111 @@ def _mean_of(terms: list[float]) -> float:
 @dataclass
 class _FoldRun:
     """What every process training one fold holds alike: the model, the
-    windows, the RNG whose stream fixes every permutation and draw, and how
-    many processes share each batch. Both processes iterate `steps` and
-    `step_routes`, so they agree on every step by construction."""
+    windows and the RNG whose stream fixes every permutation and draw, so
+    processes iterating `steps` and calling `draw` alike agree on every
+    step."""
 
     model: Model
     samples: np.ndarray
     onehots: list[np.ndarray]
     config: TrainConfig
     rng: np.random.Generator
-    n_processes: int  # 1, or 2 with a worker running `_serve_fold`
 
     def steps(self):
-        """Every step of the fold as (epoch, batch of window indices), the
-        windows freshly permuted each epoch."""
+        """Every step of the fold as (epoch, batch of window indices, the
+        batch's two halves), the windows freshly permuted each epoch."""
         size = self.config.batch_size
         for epoch in range(1, self.config.epochs + 1):
             order = self.rng.permutation(self.samples.shape[0])
             for start in range(0, order.size, size):
-                yield epoch, order[start:start + size]
+                batch = order[start:start + size]
+                yield epoch, batch, forked.shares(len(batch), 2)
 
-    def step_routes(self, tape: ad.Tape, batch: np.ndarray, part: int):
-        """One step as the process computing share `part` of `batch` runs
-        it (0: the caller, 1: the worker). Yields (route, loss) for every
-        route of the batch in batch order, route 0 the classification of a
-        window and 1 its reconstruction, with the loss before the batch
-        weight; a route of the other share yields None instead.
+    def draw(self) -> tuple:
+        """One window's random values, drawn for every window of a batch in
+        batch order by every process, whether it runs the window or not:
+        classification dropout, the mask, then reconstruction dropout (None
+        without a masked patch, as that route does not run)."""
+        _, window_len, n_channels = self.samples.shape
+        classify_keep = self.model.dropout_keep(window_len, self.rng)
+        mask = draw_mask(window_len, n_channels, self.config.patch_len,
+                         self.config.mask_ratio, self.rng)
+        return classify_keep, mask, (
+            self.model.dropout_keep(window_len, self.rng)
+            if mask.masked_patches.size else None)
 
-        Every window's values are drawn in the serial loop's order, shared
-        or not: classification dropout, the mask, then reconstruction
-        dropout (none without a masked patch, as that route does not run).
-        A route of the share is backwarded before its loss is yielded, and
-        only the scalar loss outlives the backward, so the route's graph is
-        freed before the next forward."""
-        share = forked.shares(len(batch), self.n_processes)[part]
+    def backward(self, tape: ad.Tape, i: int, batch_size: int) -> tuple:
+        """Draws window `i`'s values and backwards its classification, then
+        its reconstruction, into the gradient vector with the weight of a
+        batch of `batch_size`; returns the unweighted (ce, mse), mse 0.0
+        where nothing is masked. Only the scalar loss outlives a route's
+        backward, so its graph is freed before the next forward."""
+        classify_keep, mask, reconstruct_keep = self.draw()
         # draw_mask hides round(ratio * n_patches) patches in every window,
         # so either every window has an MSE term or none does: both means
         # divide by the batch size
-        weight = 1.0 / len(batch)
+        weight = 1.0 / batch_size
         eta, zero = self.config.eta, ad.constant(np.zeros(()))
-        _, window_len, n_channels = self.samples.shape
-        for k, i in enumerate(batch):
-            classify_keep = self.model.dropout_keep(window_len, self.rng)
-            mask = draw_mask(window_len, n_channels, self.config.patch_len,
-                             self.config.mask_ratio, self.rng)
-            masked = mask.masked_patches.size > 0
-            reconstruct_keep = (self.model.dropout_keep(window_len, self.rng)
-                                if masked else None)
-            if not share.start <= k < share.stop:
-                yield from ((route, None) for route in range(1 + masked))
-                continue
-            window = SignalWindow(self.samples[i])
-            ce = cross_entropy(self.model.classify(window, classify_keep),
-                               self.onehots[i])
-            tape.backward(combined_loss(ad.scale(ce, weight), zero, eta))
-            yield 0, ce.item()
-            if masked:
-                mse = masked_mse(self.samples[i], self.model.reconstruct(
-                    apply_mask(window, mask), reconstruct_keep),
-                    mask.sample_mask())
-                tape.backward(combined_loss(zero, ad.scale(mse, weight), eta))
-                yield 1, mse.item()
+        window = SignalWindow(self.samples[i])
+        ce = cross_entropy(self.model.classify(window, classify_keep),
+                           self.onehots[i])
+        tape.backward(combined_loss(ad.scale(ce, weight), zero, eta))
+        mse = zero
+        if mask.masked_patches.size:
+            mse = masked_mse(self.samples[i], self.model.reconstruct(
+                apply_mask(window, mask), reconstruct_keep),
+                mask.sample_mask())
+            tape.backward(combined_loss(zero, ad.scale(mse, weight), eta))
+        return ce.item(), mse.item()
 
 
 def _serve_fold(run: _FoldRun, stream) -> None:
     """The worker's side of a split fold: every step it takes the caller's
-    parameter vector (from the second step on) and runs share 1 of
-    `step_routes`; then it sends, per route of its share in batch order,
-    the loss (float64) and the route's whole gradient vector. A route's
-    gradient is staged until the share is done, so the worker never waits
-    on a caller that is still busy with its own share."""
-    model = run.model
-    for step, (_, batch) in enumerate(run.steps()):
+    parameter vector (from the second step on), draws the first half's
+    values, runs the second half into its own zeroed gradient vector and
+    sends that half's (ce, mse) terms and the vector in one flush."""
+    grad = run.model.grad
+    for step, (_, batch, (first, second)) in enumerate(run.steps()):
         if step:
-            forked.receive_into(stream, model.data)
-        staged = []
+            forked.receive_into(stream, run.model.data)
+        for _ in batch[first]:
+            run.draw()
         with ad.Tape() as tape:
-            for _, loss in run.step_routes(tape, batch, 1):
-                if loss is not None:
-                    staged.append((np.float64(loss), model.grad.copy()))
-                    model.grad.fill(0.0)
-        for route in staged:
-            forked.send(stream, route)
+            terms = [run.backward(tape, i, len(batch)) for i in batch[second]]
+        forked.send(stream, [np.array(terms, dtype=np.float64), grad])
+        grad.fill(0.0)
 
 
 def _run_steps(run: _FoldRun, optimizer: Adam,
                worker: forked.Child | None = None) -> list[StepRecord]:
     """Every step of the fold, alone or with `worker` running `_serve_fold`:
-    the caller runs share 0 of `step_routes`, and for each route that
-    yields None it reads the worker's loss and gradient vector and adds
-    the vector to its own, so every gradient is added in batch order. A
-    route reaches each parameter as one term, and the parameters it does
-    not reach add +0.0, which leaves any sum unchanged."""
+    the caller runs the first half; alone, it sets that half's vector aside
+    and runs the second half from zero itself, and with a worker it draws
+    the second half's values and reads the worker's terms and vector.
+    Either way it adds the two vectors once, and IEEE addition commutes, so
+    the two ways agree bit for bit."""
     grad = optimizer.grad
-    # a worker's route as it arrives: the loss, then the gradient vector
-    received = np.empty(1 + grad.size) if worker is not None else None
+    other = np.empty_like(grad)  # the other half's gradient vector
     records = []
-    for step, (epoch, batch) in enumerate(run.steps(), 1):
+    for step, (epoch, batch, (first, second)) in enumerate(run.steps(), 1):
         if worker is not None and step > 1:
             forked.send(worker.stream, [optimizer.data])
-        terms = ([], [])  # ce, mse
         with ad.Tape() as tape:
-            for route, loss in run.step_routes(tape, batch, 0):
-                if loss is None:
-                    forked.receive_into(worker.stream, received)
-                    grad += received[1:]
-                    loss = float(received[0])
-                terms[route].append(loss)
-            ce = _mean_of(terms[0])
-            mse = _mean_of(terms[1]) if terms[1] else 0.0
+            terms = [run.backward(tape, i, len(batch)) for i in batch[first]]
+            if worker is None:
+                other[:] = grad
+                grad.fill(0.0)
+                terms += [run.backward(tape, i, len(batch))
+                          for i in batch[second]]
+            else:
+                for _ in batch[second]:  # the worker's windows: draws only
+                    run.draw()
+                theirs = np.empty(2 * len(batch[second]))
+                forked.receive_into(worker.stream, theirs)
+                forked.receive_into(worker.stream, other)
+                terms += theirs.reshape(-1, 2).tolist()
+            grad += other
+            ce, mse = map(_mean_of, zip(*terms))
             rec = StepRecord(epoch, step, ce * run.config.eta + mse, ce, mse)
             if not (np.isfinite(rec.loss) and np.isfinite(rec.ce)
                     and np.isfinite(rec.mse)):
@@ -322,10 +318,9 @@ def train_fold(samples: np.ndarray, labels: np.ndarray,
 
     When `forked.processes` allows two processes and batches hold two or
     more windows, a worker forked once the model exists computes the second
-    share of every batch while the caller computes the first, both through
-    `_FoldRun.step_routes`; the caller adds the worker's per-route gradients
-    after its own in batch order, so losses and parameters equal the serial
-    loop's bit for bit. Epoch records are the means of their steps' records.
+    half of every batch while the caller computes the first (`_run_steps`),
+    so losses and parameters equal the serial loop's bit for bit. Epoch
+    records are the means of their steps' records.
     """
     samples = np.asarray(samples, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -347,11 +342,11 @@ def train_fold(samples: np.ndarray, labels: np.ndarray,
     optimizer = Adam(model.data, model.gradient(), config.learning_rate)
     run = _FoldRun(model, samples,
                    [one_hot(labels[i], model_config.n_classes)
-                    for i in range(n_windows)], config, rng,
-                   forked.processes(min(2, config.batch_size, n_windows)))
+                    for i in range(n_windows)], config, rng)
     result = TrainResult(model=model)
     works = ([functools.partial(_serve_fold, run)]
-             if run.n_processes == 2 else [])
+             if forked.processes(min(2, config.batch_size, n_windows)) == 2
+             else [])
     with forked.run(works) as workers:
         result.steps = _run_steps(run, optimizer, *workers)
     for epoch in range(1, config.epochs + 1):

@@ -118,6 +118,28 @@ def test_map_items_raises_the_lowest_index_exception_intact(
 
 @pytest.mark.forked
 @can_split
+def test_map_items_stops_at_once_when_item_0_fails(monkeypatch, capfd):
+    """No index comes before item 0, so its failure kills the child
+    instead of waiting for its share (four items of 0.5 s each)."""
+    def item(k):
+        if k == 0:
+            raise _diverged(k)
+        time.sleep(0.5)
+        return k
+
+    forks = _split_across(monkeypatch, 2)
+    start = time.monotonic()
+    with pytest.raises(TrainingDivergedError) as exc:
+        forked.map_items(item, range(8))
+    assert time.monotonic() - start < 1.0
+    assert str(exc.value) == str(_diverged(0))
+    assert len(forks) == 1
+    assert "Traceback" not in capfd.readouterr().err
+    _no_child_left()
+
+
+@pytest.mark.forked
+@can_split
 def test_map_items_result_that_cannot_be_pickled_is_runtime_error(
         monkeypatch, capfd):
     _split_across(monkeypatch, 2)

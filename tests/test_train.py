@@ -422,11 +422,10 @@ def test_tape_records_per_route(model_config, patch_len, records):
     t_len = model_config.window_len
     run = _FoldRun(model, rng.standard_normal((1, t_len, 6)),
                    [one_hot(np.zeros(t_len, dtype=np.int64), 6)],
-                   TrainConfig(batch_size=1, patch_len=patch_len), rng, 1)
+                   TrainConfig(batch_size=1, patch_len=patch_len), rng)
     with _CountingTape() as tape:
-        routes = [route for route, _ in
-                  run.step_routes(tape, np.array([0]), 0)]
-    assert routes == [0, 1]
+        _, mse = run.backward(tape, 0, 1)
+    assert mse > 0.0  # both routes ran
     assert tape.records == records
 
 
@@ -530,16 +529,20 @@ def one_blas_thread():
 
 @pytest.mark.forked
 @can_split
-@pytest.mark.parametrize("mask_ratio, dropout",
-                         [(0.5, 0.1), (0.0, 0.1), (0.5, 0.0)],
-                         ids=["masked", "unmasked", "no_dropout"])
+@pytest.mark.parametrize("mask_ratio, dropout, n_windows",
+                         [(0.5, 0.1, 7), (0.0, 0.1, 7), (0.5, 0.0, 7),
+                          (0.5, 0.1, 5)],
+                         ids=["masked", "unmasked", "no_dropout",
+                              "empty_worker_half"])
 def test_split_training_equals_the_serial_loop(monkeypatch, one_blas_thread,
-                                               mask_ratio, dropout):
+                                               mask_ratio, dropout,
+                                               n_windows):
     # 7 windows in batches of 4 over 2 epochs: steps of 4, 3, 4 and 3
     # windows, so the caller computes 2 of each and the worker 2 or 1.
     # Unmasked, a window has one route; without dropout, no keep-mask is
-    # drawn
-    samples, labels = tiny_dataset(n_windows=7)
+    # drawn. 5 windows make steps of 4, 1, 4 and 1: the worker's half of a
+    # 1-window step is empty, and both ways add a zero vector for it
+    samples, labels = tiny_dataset(n_windows=n_windows)
     cfg = TrainConfig(batch_size=4, epochs=2, seed=6, mask_ratio=mask_ratio,
                       patch_len=10)
     results = {}
