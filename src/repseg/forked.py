@@ -86,14 +86,18 @@ def shares(n_items: int, n_parts: int) -> list[slice]:
 def send(stream: typing.BinaryIO, arrays) -> None:
     """Write each C-contiguous array's bytes, in order, then flush once."""
     for a in arrays:
-        stream.write(memoryview(a).cast("B"))
+        # flat: memoryview cannot cast a view with a zero in its shape
+        stream.write(memoryview(a.reshape(-1)).cast("B"))
     stream.flush()
 
 
 def receive_into(stream: typing.BinaryIO, array: np.ndarray) -> None:
     """Fill C-contiguous `array` from `stream`; RuntimeError if the other
     end closes first."""
-    view = memoryview(array).cast("B")
+    if not array.flags.c_contiguous:
+        # reshape would copy, and the bytes would land in the copy
+        raise ValueError("receive_into needs a C-contiguous array")
+    view = memoryview(array.reshape(-1)).cast("B")
     got = stream.readinto(view)
     if got != len(view):
         raise RuntimeError(f"a forked process's stream closed after {got} "

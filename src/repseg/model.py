@@ -268,9 +268,10 @@ class Model:
         heads_v = ad.split_cols(v, self.config.n_heads)
         outs = []
         for hq, hk, hv in zip(heads_q, heads_k, heads_v):
-            # full bidirectional context, with no T x T logit block
-            attn = ad.softmax_matmul(hq, ad.transpose(hk))
-            outs.append(ad.matmul(attn, hv))
+            # full bidirectional context, with no T x T logit block; no name
+            # holds a head's T x T probabilities, so under no_grad each block
+            # is freed before the next head's is made
+            outs.append(ad.matmul(ad.softmax_matmul(hq, ad.transpose(hk)), hv))
         merged = ad.concat_cols(outs)
         out = ad.linear(merged, p[f"{pre}.wo"], p[f"{pre}.bo"])
         return self._dropout(out, keep)

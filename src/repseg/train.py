@@ -285,10 +285,10 @@ def _run_steps(run: _FoldRun, optimizer: Adam,
             else:
                 for _ in batch[second]:  # the worker's windows: draws only
                     run.draw()
-                theirs = np.empty(2 * len(batch[second]))
+                theirs = np.empty((len(batch[second]), 2))
                 forked.receive_into(worker.stream, theirs)
                 forked.receive_into(worker.stream, other)
-                terms += theirs.reshape(-1, 2).tolist()
+                terms += theirs.tolist()
             grad += other
             ce, mse = map(_mean_of, zip(*terms))
             rec = StepRecord(epoch, step, ce * run.config.eta + mse, ce, mse)

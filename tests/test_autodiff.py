@@ -6,6 +6,7 @@ tolerance on smooth inputs.
 """
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -533,6 +534,40 @@ def test_dropout_inverted_scaling():
     assert z is x
     with pytest.raises(ValueError):
         dropout(x, 0.3, keep[:-1])
+
+
+def test_dropout_keeps_its_byte_mask_and_rounds_as_a_float_mask():
+    # the node scales a * keep by 1/(1-rate) where it used to multiply by
+    # keep/(1-rate); both must round alike, signed zeros included
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal((800, 128))
+    g = rng.standard_normal(a.shape)
+    rate = 0.1
+    keep = keep_mask(a.shape, rate, rng)
+    backward_fns = []
+
+    class CapturingTape(Tape):
+        def _record(self, out, inputs, backward_fn):
+            backward_fns.append(backward_fn)
+            super()._record(out, inputs, backward_fn)
+
+    x = parameter(a)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with CapturingTape():
+            y = dropout(x, rate, keep)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the output's 8 bytes per element, and no float64 copy of the mask
+    assert held < 12 * a.size, f"{held / a.size:.1f} bytes per element"
+
+    float_mask = keep / (1.0 - rate)
+    assert np.array_equal(y.data.view(np.int64),
+                          (a * float_mask).view(np.int64))
+    (gx,) = backward_fns[0](g)
+    assert np.array_equal(gx.view(np.int64), (g * float_mask).view(np.int64))
 
 
 def test_float64_and_contiguity():

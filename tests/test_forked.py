@@ -1,9 +1,10 @@
-"""The forked-work contract: how work is cut into shares, that a child
-waiting on the caller leaves once the caller's end of its stream closes,
-and `map_items`: results in item order, item k in process k mod n, serial
+"""The forked-work contract: how work is cut into shares, that arrays of
+any shape cross a stream as raw bytes, that a child waiting on the caller
+leaves once the caller's end of its stream closes, and `map_items`: results in item order, item k in process k mod n, serial
 work inside a share, and the exception a serial loop would raise."""
 
 import errno
+import io
 import os
 import threading
 import time
@@ -24,6 +25,23 @@ def test_shares_are_contiguous_and_larger_first():
                    for s in forked.shares(n_items, n_parts)]
             assert got == [list(part) for part in
                            np.array_split(np.arange(n_items), n_parts)]
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (0,), (2, 3)])
+def test_send_and_receive_into_round_trip(shape):
+    """Arrays cross as raw bytes, empty ones of any shape included."""
+    a = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+    stream = io.BytesIO()
+    forked.send(stream, [a, a + 1])
+    stream.seek(0)
+    got = [np.empty(shape), np.empty(shape)]
+    for b in got:
+        forked.receive_into(stream, b)
+    np.testing.assert_array_equal(got[0], a)
+    np.testing.assert_array_equal(got[1], a + 1)
+    assert stream.read() == b""
+    with pytest.raises(ValueError, match="C-contiguous"):
+        forked.receive_into(io.BytesIO(bytes(48)), np.empty((2, 6))[:, ::2])
 
 
 def _wait_for_exit(pid: int, timeout_s: float = 30.0) -> None:

@@ -3,6 +3,7 @@ positional encoding formula, TCN locality, and a sampled finite-difference
 gradient spot check through both routes."""
 
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,3 +311,24 @@ def test_warm_full_length_window_takes_no_page_faults():
         step()
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults < 100, f"{faults} minor page faults"
+
+
+@pytest.mark.parametrize("n_heads, n_layers", [(2, 1), (4, 2)])
+def test_no_grad_forward_holds_one_attention_block(n_heads, n_layers):
+    # each head's 800x800 probabilities (5 MB) must be freed before the next
+    # head's are made, so no two blocks are alive at once
+    model = Model(ModelConfig(d_model=16, n_heads=n_heads, n_layers=n_layers,
+                              ffn_dim=32, tcn_layers=3, tcn_channels=8,
+                              window_len=800),
+                  rng=np.random.default_rng(24))
+    x = np.random.default_rng(25).standard_normal((800, 6))
+    model.predict_labels(x)  # warm-up
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        model.predict_labels(x)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    block = 800 * 800 * 8
+    assert peak < 1.5 * block, f"peak {peak / block:.2f} attention blocks"
