@@ -330,9 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("velocity", help="chair-rising velocity per subject")
     v.add_argument("--data", required=True)
     v.add_argument("--subject", required=True)
-    v.add_argument("--checkpoint", default=None)
-    v.add_argument("--use-true-labels", action="store_true",
-                   dest="use_true_labels")
+    labels = v.add_mutually_exclusive_group()
+    labels.add_argument("--checkpoint", default=None)
+    labels.add_argument("--use-true-labels", action="store_true",
+                        dest="use_true_labels")
     v.add_argument("--still-window", type=_parse_window, default=None,
                    dest="still_window", help="manual override, 'start:end'")
     v.add_argument("--report", default=None)

@@ -9,16 +9,12 @@ window against the original signal, masked samples only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import SignalWindow
 
 __all__ = [
-    "MaskSpec",
     "draw_mask",
     "apply_mask",
     "one_hot",
@@ -31,45 +27,11 @@ __all__ = [
 LOG_EPS = 1e-12  # probability clamp inside the cross-entropy log
 
 
-@dataclass
-class MaskSpec:
-    """Which patches of a (window_len, n_channels) window are hidden."""
-
-    window_len: int
-    n_channels: int
-    patch_len: int
-    masked_patches: np.ndarray  # sorted unique patch indices, possibly empty
-
-    def __post_init__(self):
-        if self.window_len % self.patch_len != 0:
-            raise ValueError(
-                f"window_len {self.window_len} not divisible by patch_len "
-                f"{self.patch_len}")
-        ids = np.asarray(self.masked_patches, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.n_patches
-                         or np.unique(ids).size != ids.size):
-            raise ValueError("masked_patches out of range or repeated")
-        self.masked_patches = np.sort(ids)
-
-    @property
-    def n_patches(self) -> int:
-        return self.window_len // self.patch_len
-
-    @property
-    def mask_ratio(self) -> float:
-        return self.masked_patches.size / self.n_patches
-
-    def sample_mask(self) -> np.ndarray:
-        """Boolean (window_len, n_channels): True where the signal is hidden."""
-        rows = np.zeros(self.window_len, dtype=bool)
-        for p in self.masked_patches:
-            rows[p * self.patch_len:(p + 1) * self.patch_len] = True
-        return np.repeat(rows[:, None], self.n_channels, axis=1)
-
-
 def draw_mask(window_len: int, n_channels: int, patch_len: int,
-              mask_ratio: float, rng: np.random.Generator) -> MaskSpec:
-    """Draw round(mask_ratio * n_patches) distinct patches to hide."""
+              mask_ratio: float, rng: np.random.Generator) -> np.ndarray:
+    """Boolean (window_len, n_channels) mask, True where the signal is
+    hidden: round(mask_ratio * n_patches) distinct patches, each across
+    every channel."""
     if not 0.0 <= mask_ratio <= 1.0:
         raise ValueError(f"mask_ratio must be in [0, 1], got {mask_ratio}")
     if window_len % patch_len != 0:
@@ -77,20 +39,20 @@ def draw_mask(window_len: int, n_channels: int, patch_len: int,
             f"window_len {window_len} not divisible by patch_len {patch_len}")
     n_patches = window_len // patch_len
     n_masked = int(round(mask_ratio * n_patches))
-    chosen = rng.choice(n_patches, size=n_masked, replace=False)
-    return MaskSpec(window_len, n_channels, patch_len, chosen)
+    hidden = np.zeros(n_patches, dtype=bool)
+    hidden[rng.choice(n_patches, size=n_masked, replace=False)] = True
+    return np.repeat(np.repeat(hidden, patch_len)[:, None], n_channels,
+                     axis=1)
 
 
-def apply_mask(window: SignalWindow, spec: MaskSpec) -> SignalWindow:
-    """Zero-fill the masked samples; the input window is left untouched."""
-    samples = window.samples
-    if samples.shape != (spec.window_len, spec.n_channels):
-        raise ValueError(
-            f"window shape {samples.shape} does not match mask spec "
-            f"({spec.window_len}, {spec.n_channels})")
+def apply_mask(samples: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """A copy of the (T, N) window with the masked samples zero-filled."""
+    if samples.shape != mask.shape:
+        raise ValueError(f"window shape {samples.shape} does not match mask "
+                         f"shape {mask.shape}")
     out = samples.copy()
-    out[spec.sample_mask()] = 0.0
-    return SignalWindow(out, window.sample_rate)
+    out[mask] = 0.0
+    return out
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:

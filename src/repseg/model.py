@@ -20,7 +20,6 @@ from .autodiff import Tensor
 
 __all__ = [
     "ModelConfig",
-    "SignalWindow",
     "Model",
     "positional_encoding",
     "param_shapes",
@@ -82,19 +81,6 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-@dataclass
-class SignalWindow:
-    """A fixed-length slice of a recording: (T, N) float64 samples."""
-
-    samples: np.ndarray
-    sample_rate: float = 100.0
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 2:
-            raise ValueError(f"samples must be (T, N), got {self.samples.shape}")
 
 
 def positional_encoding(t_len: int, d_model: int) -> np.ndarray:
@@ -230,12 +216,6 @@ class Model:
                 positional_encoding(t_len, self.config.d_model))
         return self._pe_cache[t_len]
 
-    @staticmethod
-    def _samples(window) -> np.ndarray:
-        if isinstance(window, SignalWindow):
-            return window.samples
-        return np.asarray(window, dtype=np.float64)
-
     def dropout_keep(self, t_len: int,
                      rng: np.random.Generator) -> list[np.ndarray] | None:
         """Keep-masks for one training forward of a `t_len`-sample window,
@@ -284,26 +264,27 @@ class Model:
         out = ad.linear(h, p[f"{pre}.w2"], p[f"{pre}.b2"])
         return self._dropout(out, keep)
 
-    def encode(self, window, keep: list[np.ndarray] | None = None) -> Tensor:
-        """Embed + positional encoding + pre-norm residual encoder stack.
+    def encode(self, window: np.ndarray,
+               keep: list[np.ndarray] | None = None) -> Tensor:
+        """Embed + positional encoding + pre-norm residual encoder stack
+        over a (T, N) window.
 
         `keep` holds the training forward's `dropout_keep` masks; None runs
         without dropout, as evaluation does."""
-        samples = self._samples(window)
-        if samples.shape[1] != self.config.n_channels:
+        x = ad.constant(window)
+        if x.data.ndim != 2 or x.shape[1] != self.config.n_channels:
             raise ValueError(
-                f"window has {samples.shape[1]} channels, config expects "
-                f"{self.config.n_channels}")
+                f"window must be (T, {self.config.n_channels}), got "
+                f"{x.shape}")
         n_layers = self.config.n_layers
         if keep is None:
             keep = [None] * (2 * n_layers)
         elif len(keep) != 2 * n_layers:
             raise ValueError(f"{len(keep)} keep-masks for {2 * n_layers} "
                              f"dropout sites")
-        x = ad.constant(samples)
         h = ad.add(ad.linear(x, self.params["embed.w"],
                              self.params["embed.b"]),
-                   self._pe(samples.shape[0]))
+                   self._pe(x.shape[0]))
         for i in range(n_layers):
             p = self.params
             a = ad.layer_norm(h, p[f"enc{i}.ln1.g"], p[f"enc{i}.ln1.b"])
@@ -326,13 +307,13 @@ class Model:
             h = ad.add(h, c)
         return ad.linear(h, p["tcn_out.w"], p["tcn_out.b"])
 
-    def classify(self, window,
+    def classify(self, window: np.ndarray,
                  keep: list[np.ndarray] | None = None) -> Tensor:
         """Per-sample class probabilities (T, C); rows sum to 1."""
         feats = self.encode(window, keep)
         return ad.softmax_rows(self.tcn_logits(feats))
 
-    def reconstruct(self, window,
+    def reconstruct(self, window: np.ndarray,
                     keep: list[np.ndarray] | None = None) -> Tensor:
         """Signal estimate (T, N) from the shared encoder features."""
         feats = self.encode(window, keep)
@@ -340,7 +321,7 @@ class Model:
         h = ad.relu(ad.linear(feats, p["recon.w1"], p["recon.b1"]))
         return ad.linear(h, p["recon.w2"], p["recon.b2"])
 
-    def predict_labels(self, window) -> np.ndarray:
+    def predict_labels(self, window: np.ndarray) -> np.ndarray:
         """Argmax class per sample, eval mode, no graph recording."""
         with ad.no_grad():
             probs = self.classify(window)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import Segment, labels_to_segments
-from .model import SignalWindow
 
 __all__ = [
     "CLASS_NAMES",
@@ -25,6 +24,7 @@ __all__ = [
     "ActivityTemplate",
     "SubjectProfile",
     "Recording",
+    "SignalWindow",
     "default_templates",
     "make_profile",
     "generate_recording",
@@ -255,6 +255,8 @@ def make_cohort(n_subjects: int, plan: list[tuple[int, int]] | None = None,
     """Independent subjects from one master seed (stable per-subject seeds)."""
     if n_subjects < 1:
         raise ValueError(f"need at least 1 subject, got {n_subjects}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     plan = plan if plan is not None else DEFAULT_PLAN
     recordings, profiles = [], []
     children = np.random.SeedSequence(seed).spawn(n_subjects)
@@ -267,6 +269,13 @@ def make_cohort(n_subjects: int, plan: list[tuple[int, int]] | None = None,
     return recordings, profiles
 
 
+@dataclass
+class SignalWindow:
+    """One window of a recording: (T, N) samples."""
+
+    samples: np.ndarray
+
+
 def windowize(rec: Recording,
               window_len: int) -> list[tuple[SignalWindow, np.ndarray]]:
     """Non-overlapping windows; a tail shorter than one window is dropped."""
@@ -275,11 +284,11 @@ def windowize(rec: Recording,
     length = rec.signal.shape[0]
     if length < window_len:
         raise ValueError(
-            f"recording of {length} samples is shorter than one window "
-            f"({window_len})")
+            f"subject {rec.subject_id}: recording of {length} samples is "
+            f"shorter than one window ({window_len})")
     out = []
     for start in range(0, length - window_len + 1, window_len):
         sl = slice(start, start + window_len)
-        out.append((SignalWindow(rec.signal[sl].copy(), rec.sample_rate),
+        out.append((SignalWindow(rec.signal[sl].copy()),
                     rec.labels[sl].copy()))
     return out

@@ -33,7 +33,7 @@ from . import autodiff as ad
 from . import forked
 from .masking import (apply_mask, combined_loss, cross_entropy, draw_mask,
                       masked_mse, one_hot)
-from .model import Model, ModelConfig, SignalWindow
+from .model import Model, ModelConfig
 
 
 class TrainingDivergedError(RuntimeError):
@@ -217,7 +217,7 @@ class _FoldRun:
                          self.config.mask_ratio, self.rng)
         return classify_keep, mask, (
             self.model.dropout_keep(window_len, self.rng)
-            if mask.masked_patches.size else None)
+            if mask.any() else None)
 
     def backward(self, tape: ad.Tape, i: int, batch_size: int) -> tuple:
         """Draws window `i`'s values and backwards its classification, then
@@ -231,15 +231,14 @@ class _FoldRun:
         # divide by the batch size
         weight = 1.0 / batch_size
         eta, zero = self.config.eta, ad.constant(np.zeros(()))
-        window = SignalWindow(self.samples[i])
+        window = self.samples[i]
         ce = cross_entropy(self.model.classify(window, classify_keep),
                            self.onehots[i])
         tape.backward(combined_loss(ad.scale(ce, weight), zero, eta))
         mse = zero
-        if mask.masked_patches.size:
-            mse = masked_mse(self.samples[i], self.model.reconstruct(
-                apply_mask(window, mask), reconstruct_keep),
-                mask.sample_mask())
+        if mask.any():
+            mse = masked_mse(window, self.model.reconstruct(
+                apply_mask(window, mask), reconstruct_keep), mask)
             tape.backward(combined_loss(zero, ad.scale(mse, weight), eta))
         return ce.item(), mse.item()
 
@@ -361,7 +360,7 @@ def train_fold(samples: np.ndarray, labels: np.ndarray,
 
 def predict(model: Model, windows) -> np.ndarray:
     """Per-sample argmax labels (W, T) for a sequence of unmasked (T, N)
-    windows: a (W, T, N) stack, a list of views, or one (T, N) window.
+    windows: a (W, T, N) stack or a list of views.
 
     The windows are shared round-robin over one process per CPU this
     process may run on (`forked.map_items`); each child inherits the model
@@ -370,6 +369,4 @@ def predict(model: Model, windows) -> np.ndarray:
     with two BLAS threads each on two cores ran slower than one process
     alone.
     """
-    if getattr(windows, "ndim", None) == 2:
-        windows = [windows]
     return np.stack(forked.map_items(model.predict_labels, windows))

@@ -1,13 +1,14 @@
-"""Brute-force reference implementations for the metric suite and the
-dataset CSV format.
+"""Brute-force reference implementations for the metric suite, the patch
+mask and the dataset CSV format.
 
 Everything here recomputes results from first principles with plain loops,
 structured differently from the package code: per-sample counting for F1 and
 the confusion matrix, a repeated-argmax rescan over an explicit IoU matrix
 for segment matching, a bitmask DP that enumerates every one-to-one matching
 for the maximum achievable true-positive count, direct sum arithmetic for
-the limits of agreement, a row-by-row `csv.writer` for a subject's CSV, and
-a one-shot SHA-256 of a checkpoint payload's whole canonical JSON text.
+the limits of agreement, a patch-by-patch loop for a mask, a row-by-row
+`csv.writer` for a subject's CSV, and a one-shot SHA-256 of a checkpoint
+payload's whole canonical JSON text.
 
 Also helpers only the tests use: labels painted from segments (the inverse
 of `labels_to_segments`), the closed-form peak of a sit-to-stand velocity,
@@ -187,6 +188,15 @@ def random_label_case(rng, length=60, n_classes=4, max_per_class=6):
                 ok = False
         if ok:
             return seqs[0], seqs[1]
+
+
+def patch_mask_ref(window_len, n_channels, patch_len, patches):
+    """Boolean (window_len, n_channels) mask hiding every listed patch of
+    `patch_len` samples across all channels, one patch at a time."""
+    rows = np.zeros(window_len, dtype=bool)
+    for p in patches:
+        rows[p * patch_len:(p + 1) * patch_len] = True
+    return np.repeat(rows[:, None], n_channels, axis=1)
 
 
 def write_subject_csv_ref(path, recording):

@@ -74,6 +74,15 @@ def test_generate_without_subjects_is_data_error(tmp_path, capsys, subjects):
     assert not (tmp_path / "d").exists()
 
 
+def test_generate_negative_seed_is_data_error_naming_the_seed(tmp_path,
+                                                              capsys):
+    code = main(["generate", "--subjects", "2", "--seed", "-1",
+                 "--out", str(tmp_path / "d")])
+    assert code == 3
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("threshold", ["nan", "1.5", "0", "-0.5", "x"])
 def test_iou_threshold_outside_the_unit_interval_is_usage_error(
         workspace, tmp_path, capsys, threshold):
@@ -454,6 +463,49 @@ def test_velocity_predicted_labels(workspace):
     code = main(["velocity", "--data", str(workspace / "data"),
                  "--subject", "s00", "--checkpoint", str(ckpt)])
     assert code == 0
+
+
+@pytest.mark.parametrize("sources, expected", [
+    (("checkpoint", "labels"), 2), (("labels", "checkpoint"), 2), ((), 3)],
+    ids=["checkpoint_first", "labels_first", "neither"])
+def test_velocity_takes_exactly_one_label_source(workspace, tmp_path, capsys,
+                                                 sources, expected):
+    # the checkpoint does not exist: with both flags it must not be read
+    flags = {"checkpoint": ["--checkpoint", str(tmp_path / "missing.json")],
+             "labels": ["--use-true-labels"]}
+    report = tmp_path / "r.json"
+    argv = ["velocity", "--data", str(workspace / "data"), "--subject", "s00",
+            *[flag for source in sources for flag in flags[source]],
+            "--report", str(report)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == expected
+    err = capsys.readouterr().err
+    assert ("not allowed with argument" in err) == (expected == 2)
+    assert ("pass --checkpoint or --use-true-labels" in err) \
+        == (expected == 3)
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "velocity"])
+def test_window_longer_than_a_recording_names_the_subject(
+        workspace, tmp_path, capsys, command):
+    model = Model(ModelConfig(**{**CONFIG["model"], "window_len": 20000}),
+                  rng=np.random.default_rng(0))
+    ckpt = save_checkpoint(tmp_path / "long.json", model)
+    argv = {"evaluate": ["--checkpoints", str(ckpt)],
+            "velocity": ["--subject", "s01", "--checkpoint", str(ckpt)]}
+    report = tmp_path / "report.json"
+    code = main([command, "--data", str(workspace / "data"), *argv[command],
+                 "--report", str(report)])
+    assert code == 3
+    subject = {"evaluate": "s00", "velocity": "s01"}[command]
+    assert re.search(rf"error: subject {subject}: recording of \d+ samples "
+                     rf"is shorter than one window \(20000\)",
+                     capsys.readouterr().err)
+    assert not report.exists()
 
 
 def test_velocity_without_chair_segments(tmp_path, capsys):

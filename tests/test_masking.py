@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import fdtools
+from oracles import patch_mask_ref
 from repseg import autodiff as ad
 from repseg.masking import (
     LOG_EPS,
-    MaskSpec,
     apply_mask,
     combined_loss,
     cross_entropy,
@@ -17,7 +17,6 @@ from repseg.masking import (
     masked_mse,
     one_hot,
 )
-from repseg.model import SignalWindow
 
 
 def random_probs(rng, t_len, n_classes):
@@ -28,17 +27,30 @@ def random_probs(rng, t_len, n_classes):
 def test_draw_mask_counts_and_range():
     rng = np.random.default_rng(0)
     for ratio, expect in [(0.0, 0), (0.2, 4), (0.5, 10), (0.8, 16), (1.0, 20)]:
-        spec = draw_mask(800, 6, 40, ratio, rng)
-        assert spec.masked_patches.size == expect
-        assert np.unique(spec.masked_patches).size == expect
-        assert spec.mask_ratio == expect / 20
-        if expect:
-            assert spec.masked_patches.min() >= 0
-            assert spec.masked_patches.max() < 20
+        mask = draw_mask(800, 6, 40, ratio, rng)
+        assert mask.shape == (800, 6) and mask.dtype == bool
+        # whole patches, each across every channel
+        patches = mask.reshape(20, 40, 6)
+        assert np.all(patches == patches[:, :1, :1])
+        assert patches[:, 0, 0].sum() == expect
 
     s1 = draw_mask(800, 6, 40, 0.8, np.random.default_rng(7))
     s2 = draw_mask(800, 6, 40, 0.8, np.random.default_rng(7))
-    assert np.array_equal(s1.masked_patches, s2.masked_patches)
+    assert np.array_equal(s1, s2)
+
+
+@pytest.mark.parametrize("window_len, n_channels, patch_len, ratio", [
+    (800, 6, 40, 0.0), (800, 6, 40, 0.2), (800, 6, 40, 0.8),
+    (800, 6, 40, 1.0), (160, 6, 16, 0.8), (80, 6, 8, 0.8)])
+def test_draw_mask_matches_the_patch_loop(window_len, n_channels, patch_len,
+                                          ratio):
+    n_patches = window_len // patch_len
+    patches = np.random.default_rng(11).choice(
+        n_patches, size=int(round(ratio * n_patches)), replace=False)
+    mask = draw_mask(window_len, n_channels, patch_len, ratio,
+                     np.random.default_rng(11))
+    assert np.array_equal(
+        mask, patch_mask_ref(window_len, n_channels, patch_len, patches))
 
 
 def test_draw_mask_validation():
@@ -47,28 +59,22 @@ def test_draw_mask_validation():
         draw_mask(810, 6, 40, 0.5, rng)  # not divisible
     with pytest.raises(ValueError):
         draw_mask(800, 6, 40, 1.5, rng)
-    with pytest.raises(ValueError):
-        MaskSpec(800, 6, 40, np.array([0, 0]))  # repeated patch
-    with pytest.raises(ValueError):
-        MaskSpec(800, 6, 40, np.array([20]))  # out of range
 
 
 def test_apply_mask_zero_fills_whole_patches():
     rng = np.random.default_rng(2)
-    w = SignalWindow(rng.standard_normal((120, 6)) + 5.0)
-    spec = MaskSpec(120, 6, 20, np.array([1, 4]))
-    masked = apply_mask(w, spec)
+    w = rng.standard_normal((120, 6)) + 5.0
+    mask = patch_mask_ref(120, 6, 20, [1, 4])
+    masked = apply_mask(w, mask)
 
-    assert np.all(masked.samples[20:40] == 0.0)
-    assert np.all(masked.samples[80:100] == 0.0)
+    assert np.all(masked[20:40] == 0.0)
+    assert np.all(masked[80:100] == 0.0)
     keep = np.ones(120, dtype=bool)
     keep[20:40] = keep[80:100] = False
-    assert np.array_equal(masked.samples[keep], w.samples[keep])
-    assert np.all(w.samples != 0.0)  # input untouched
-
-    mask = spec.sample_mask()
-    assert mask.shape == (120, 6)
-    assert mask.sum() == 2 * 20 * 6
+    assert np.array_equal(masked[keep], w[keep])
+    assert np.all(w != 0.0)  # input untouched
+    with pytest.raises(ValueError):
+        apply_mask(w, mask[:100])
 
 
 def test_cross_entropy_uniform_is_lnC_over_C():
@@ -123,8 +129,7 @@ def test_masked_mse_matches_direct_numpy():
     t_len, n_ch = 60, 6
     x = rng.standard_normal((t_len, n_ch)) * 3.0
     xhat = rng.standard_normal((t_len, n_ch))
-    spec = MaskSpec(t_len, n_ch, 10, np.array([0, 2, 5]))
-    mask = spec.sample_mask()
+    mask = patch_mask_ref(t_len, n_ch, 10, [0, 2, 5])
 
     mse = masked_mse(x, ad.constant(xhat), mask)
     want = (mask * (x - xhat) ** 2).sum() / (n_ch * t_len)
@@ -147,8 +152,7 @@ def test_masked_mse_empty_mask_is_exactly_zero_with_zero_grad():
 def test_masked_mse_ignores_unmasked_predictions_bit_exactly():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((40, 6))
-    spec = MaskSpec(40, 6, 10, np.array([1, 3]))
-    mask = spec.sample_mask()
+    mask = patch_mask_ref(40, 6, 10, [1, 3])
 
     xhat = rng.standard_normal((40, 6))
     before = masked_mse(x, ad.constant(xhat), mask).item()
@@ -161,8 +165,7 @@ def test_masked_mse_ignores_unmasked_predictions_bit_exactly():
 def test_masked_mse_gradient():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((20, 6))
-    spec = MaskSpec(20, 6, 5, np.array([0, 2]))
-    mask = spec.sample_mask()
+    mask = patch_mask_ref(20, 6, 5, [0, 2])
     xhat = ad.parameter(rng.standard_normal((20, 6)))
 
     with ad.Tape() as tape:

@@ -16,7 +16,6 @@ from repseg.masking import (apply_mask, combined_loss, cross_entropy,
 from repseg.model import (
     Model,
     ModelConfig,
-    SignalWindow,
     init_params,
     param_shapes,
     positional_encoding,
@@ -122,7 +121,7 @@ def test_zeroed_blocks_leave_residual_stream_unchanged():
 def test_classify_rows_are_probabilities():
     model = tiny_model(seed=4)
     rng = np.random.default_rng(5)
-    w = SignalWindow(rng.standard_normal((30, 6)) + [9.8, 0, 0, 0, 0, 0])
+    w = rng.standard_normal((30, 6)) + [9.8, 0, 0, 0, 0, 0]
     probs = model.classify(w).data
     assert probs.shape == (30, model.config.n_classes)
     assert np.all(np.isfinite(probs))
@@ -268,7 +267,7 @@ def test_no_backward_writes_into_its_incoming_gradient():
     # must run with read-only gradients and match an ordinary tape exactly
     x = np.random.default_rng(18).standard_normal((40, 6))
     labels = np.arange(40) % TINY_CLASSES
-    spec = draw_mask(40, 6, 10, 0.5, np.random.default_rng(19))
+    mask = draw_mask(40, 6, 10, 0.5, np.random.default_rng(19))
     grads = []
     for tape_cls in (ReadOnlyGradTape, ad.Tape):
         model = tiny_model(seed=20)
@@ -276,10 +275,9 @@ def test_no_backward_writes_into_its_incoming_gradient():
         with tape_cls() as tape:
             ce = cross_entropy(model.classify(x, model.dropout_keep(40, rng)),
                                one_hot(labels, TINY_CLASSES))
-            recon = model.reconstruct(apply_mask(SignalWindow(x), spec),
+            recon = model.reconstruct(apply_mask(x, mask),
                                       model.dropout_keep(40, rng))
-            loss = combined_loss(ce, masked_mse(x, recon, spec.sample_mask()),
-                                 500.0)
+            loss = combined_loss(ce, masked_mse(x, recon, mask), 500.0)
         tape.backward(loss)
         grads.append({k: p.grad for k, p in model.params.items()})
     guarded, plain = grads

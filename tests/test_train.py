@@ -14,7 +14,7 @@ from repseg import forked
 from repseg.dataio import CONFIG_SCHEMA, DataFormatError, _check
 from repseg.masking import (apply_mask, combined_loss, cross_entropy,
                             draw_mask, masked_mse, one_hot)
-from repseg.model import Model, ModelConfig, SignalWindow, init_params
+from repseg.model import Model, ModelConfig, init_params
 from repseg.train import (
     Adam,
     StepRecord,
@@ -280,16 +280,14 @@ def _check_one_step_matches_a_single_tape_batch_loss(monkeypatch, n_cpus):
     ce_terms, mse_terms = [], []
     with ad.Tape() as tape:
         for i in rng.permutation(samples.shape[0]):
-            window = SignalWindow(samples[i])
             ce_terms.append(cross_entropy(
-                model.classify(window, model.dropout_keep(40, rng)),
+                model.classify(samples[i], model.dropout_keep(40, rng)),
                 one_hot(labels[i], mc.n_classes)))
-            spec = draw_mask(*samples.shape[1:], cfg.patch_len,
+            mask = draw_mask(*samples.shape[1:], cfg.patch_len,
                              cfg.mask_ratio, rng)
-            recon = model.reconstruct(apply_mask(window, spec),
+            recon = model.reconstruct(apply_mask(samples[i], mask),
                                       model.dropout_keep(40, rng))
-            mse_terms.append(masked_mse(samples[i], recon,
-                                        spec.sample_mask()))
+            mse_terms.append(masked_mse(samples[i], recon, mask))
         ce, mse = _tensor_mean(ce_terms), _tensor_mean(mse_terms)
         loss = combined_loss(ce, mse, cfg.eta)
     tape.backward(loss)
@@ -437,9 +435,6 @@ def test_predict_shapes_and_determinism():
     assert preds.shape == labels.shape
     assert preds.dtype == np.int64
     assert np.array_equal(preds, predict(model, samples))
-    single = predict(model, samples[0])
-    assert single.shape == (1, labels.shape[1])
-    assert np.array_equal(single[0], preds[0])
 
 
 @pytest.mark.forked
@@ -591,7 +586,7 @@ def test_a_nan_in_the_workers_share_diverges_as_the_serial_loop_does(
         seen_nan = []  # per classification forward made in this process
 
         def noting_classify(self, window, *args, **kwargs):
-            seen_nan.append(bool(np.isnan(window.samples).any()))
+            seen_nan.append(bool(np.isnan(window).any()))
             return classify(self, window, *args, **kwargs)
 
         monkeypatch.setattr(Model, "classify", noting_classify)
