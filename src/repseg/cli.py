@@ -236,7 +236,7 @@ def cmd_velocity(args) -> int:
         # the checkpoint is checked before the CSV is parsed
         model = load_checkpoint(args.checkpoint)
     dataset = read_dataset(args.data, subjects=[args.subject])
-    rec = dataset.by_subject(args.subject)
+    rec = dataset.recordings[0]
     report = _report_skeleton("velocity", started)
     report["dataset"] = str(args.data)
     report["subject"] = args.subject

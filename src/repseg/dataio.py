@@ -142,12 +142,6 @@ class Dataset:
     def subject_ids(self) -> list[str]:
         return [r.subject_id for r in self.recordings]
 
-    def by_subject(self, subject_id: str) -> Recording:
-        for rec in self.recordings:
-            if rec.subject_id == subject_id:
-                return rec
-        raise KeyError(f"no subject {subject_id!r} in dataset")
-
 
 def _segment_counts(segments) -> dict[str, int]:
     counts: dict[str, int] = {}
@@ -284,7 +278,7 @@ def _read_subject_csv(path: Path, rows: int) -> tuple[np.ndarray, np.ndarray]:
 def read_dataset(dataset_dir, subjects=None) -> Dataset:
     """Read a dataset directory; `subjects` (ids) limits parsing to those
     subjects, kept in manifest order. An id the manifest lacks is a
-    KeyError."""
+    ValueError."""
     dataset_dir = Path(dataset_dir)
     manifest_path = dataset_dir / "manifest.json"
     if not manifest_path.exists():
@@ -294,7 +288,7 @@ def read_dataset(dataset_dir, subjects=None) -> Dataset:
     if subjects is not None:
         missing = set(subjects) - {e["subject_id"] for e in entries}
         if missing:
-            raise KeyError(f"no subjects {sorted(missing)} in dataset")
+            raise ValueError(f"no subjects {sorted(missing)} in dataset")
         entries = [e for e in entries if e["subject_id"] in subjects]
     sample_rate = float(manifest["sample_rate"])
     recordings = []

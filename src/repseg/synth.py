@@ -20,12 +20,10 @@ __all__ = [
     "CLASS_NAMES",
     "N_CLASSES",
     "DEFAULT_PLAN",
-    "WaveComponent",
-    "ActivityTemplate",
+    "TEMPLATES",
     "SubjectProfile",
     "Recording",
     "SignalWindow",
-    "default_templates",
     "make_profile",
     "generate_recording",
     "make_cohort",
@@ -53,70 +51,21 @@ REST_S = 2.0  # background after each bout
 AX, AY, AZ, GX, GY, GZ = range(6)
 
 
-@dataclass(frozen=True)
-class WaveComponent:
-    """One additive waveform on one channel, parameterized over the
-    repetition's unit interval u in [0, 1]."""
-
-    channel: int
-    shape: str  # "half_sine" (single bump) or "full_sine" (biphasic)
-    amplitude: float
-
-    def evaluate(self, u: np.ndarray) -> np.ndarray:
-        if self.shape == "half_sine":
-            return self.amplitude * np.sin(np.pi * u)
-        if self.shape == "full_sine":
-            return self.amplitude * np.sin(2.0 * np.pi * u)
-        raise ValueError(f"unknown waveform shape {self.shape!r}")
-
-
-@dataclass(frozen=True)
-class ActivityTemplate:
-    class_id: int
-    name: str
-    duration_range: tuple[float, float]  # seconds
-    components: tuple[WaveComponent, ...]
-    noise_sigma: float = 0.02  # extra in-activity jitter
-
-    def __post_init__(self):
-        lo, hi = self.duration_range
-        if not 0.0 < lo <= hi:
-            raise ValueError(f"bad duration range {self.duration_range}")
-        if hi > 8.0:
-            raise ValueError("repetitions must fit one 8 s window")
-
-
-def default_templates() -> list[ActivityTemplate]:
-    """Six templates: background plus the five exercise repetition shapes.
-
-    Channel routing keeps classes separable: heels ride the vertical
-    accelerometer, knees the sagittal accelerometer + gyro, trunk is
-    gyro-dominant, and the chair transitions are biphasic vertical pulses
-    with opposite signs.
-    """
-    return [
-        ActivityTemplate(0, CLASS_NAMES[0], (1.0, 8.0), (), noise_sigma=0.0),
-        ActivityTemplate(1, CLASS_NAMES[1], (1.0, 2.0), (
-            WaveComponent(AX, "half_sine", 1.5),
-            WaveComponent(GY, "half_sine", 15.0),
-        )),
-        ActivityTemplate(2, CLASS_NAMES[2], (1.5, 3.0), (
-            WaveComponent(AZ, "half_sine", 1.2),
-            WaveComponent(GX, "half_sine", 30.0),
-        )),
-        ActivityTemplate(3, CLASS_NAMES[3], (2.0, 4.0), (
-            WaveComponent(GY, "full_sine", 60.0),
-            WaveComponent(AY, "half_sine", 0.8),
-        )),
-        ActivityTemplate(4, CLASS_NAMES[4], (1.0, 3.0), (
-            WaveComponent(AX, "full_sine", 1.8),
-            WaveComponent(GY, "half_sine", 25.0),
-        )),
-        ActivityTemplate(5, CLASS_NAMES[5], (1.0, 3.0), (
-            WaveComponent(AX, "full_sine", -1.8),
-            WaveComponent(GY, "half_sine", -25.0),
-        )),
-    ]
+# class_id -> ((lo_s, hi_s), waves): a repetition lasts lo_s to hi_s
+# seconds before the subject's tempo scale, and each (channel, amplitude,
+# cycles) wave adds amplitude * sin(2 pi cycles u) over its unit interval u,
+# so 0.5 cycles is a single bump and 1.0 a biphasic pulse. Channel routing
+# keeps classes separable: heels ride the vertical accelerometer, knees the
+# sagittal accelerometer + gyro, trunk is gyro-dominant, and the chair
+# transitions are biphasic vertical pulses with opposite signs.
+TEMPLATES = {
+    1: ((1.0, 2.0), ((AX, 1.5, 0.5), (GY, 15.0, 0.5))),
+    2: ((1.5, 3.0), ((AZ, 1.2, 0.5), (GX, 30.0, 0.5))),
+    3: ((2.0, 4.0), ((GY, 60.0, 1.0), (AY, 0.8, 0.5))),
+    4: ((1.0, 3.0), ((AX, 1.8, 1.0), (GY, 25.0, 0.5))),
+    5: ((1.0, 3.0), ((AX, -1.8, 1.0), (GY, -25.0, 0.5))),
+}
+REP_JITTER_SIGMA = 0.02  # extra noise inside every repetition
 
 
 @dataclass
@@ -191,15 +140,14 @@ def generate_recording(profile: SubjectProfile, plan: list[tuple[int, int]],
     if not plan:
         raise ValueError("plan is empty")
     rng = np.random.default_rng(seed)
-    by_class = {t.class_id: t for t in default_templates()}
 
-    reps: list[int] = []  # class sequence, chair bouts expanded into pairs
-    bouts: list[list[int]] = []
+    bouts: list[list[int]] = []  # chair bouts expanded into pairs
     for class_id, count in plan:
-        if class_id not in by_class or class_id == 0:
+        if class_id not in TEMPLATES:
             raise ValueError(f"plan references unknown class {class_id}")
         if count < 1:
-            raise ValueError(f"bout repetition count must be >= 1")
+            raise ValueError(f"plan bout {class_id}:{count} needs at least "
+                             f"one repetition")
         if class_id == 4:
             bouts.append([4, 5] * count)
         else:
@@ -217,20 +165,20 @@ def generate_recording(profile: SubjectProfile, plan: list[tuple[int, int]],
     background(int(round(LEAD_IN_S * fs)))
     for bout in bouts:
         for class_id in bout:
-            tpl = by_class[class_id]
+            duration_range, waves = TEMPLATES[class_id]
             gap = rng.uniform(*profile.gap_range_s)
             background(int(round(gap * fs)))
 
-            dur = rng.uniform(*tpl.duration_range) * \
+            dur = rng.uniform(*duration_range) * \
                 profile.tempo_scale.get(class_id, 1.0)
             n = max(int(round(dur * fs)), 2)
             u = (np.arange(n) + 0.5) / n
             block = rng.normal(0.0, profile.noise_sigma, size=(n, 6))
-            if tpl.noise_sigma:
-                block += rng.normal(0.0, tpl.noise_sigma, size=(n, 6))
-            for comp in tpl.components:
-                block[:, comp.channel] += \
-                    profile.amp_scale.get(class_id, 1.0) * comp.evaluate(u)
+            block += rng.normal(0.0, REP_JITTER_SIGMA, size=(n, 6))
+            scale = profile.amp_scale.get(class_id, 1.0)
+            for channel, amplitude, cycles in waves:
+                block[:, channel] += scale * (
+                    amplitude * np.sin(2.0 * np.pi * cycles * u))
             chunks.append(block)
             label_chunks.append(np.full(n, class_id, dtype=np.int64))
         background(int(round(REST_S * fs)))

@@ -83,6 +83,16 @@ def test_generate_negative_seed_is_data_error_naming_the_seed(tmp_path,
     assert not (tmp_path / "d").exists()
 
 
+def test_generate_bout_without_repetitions_is_data_error_naming_the_bout(
+        tmp_path, capsys):
+    code = main(["generate", "--subjects", "2", "--plan", "2:3,1:0",
+                 "--out", str(tmp_path / "d")])
+    assert code == 3
+    assert capsys.readouterr().err \
+        == "error: plan bout 1:0 needs at least one repetition\n"
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("threshold", ["nan", "1.5", "0", "-0.5", "x"])
 def test_iou_threshold_outside_the_unit_interval_is_usage_error(
         workspace, tmp_path, capsys, threshold):
@@ -301,8 +311,8 @@ def test_evaluate_matches_losocv_fold(workspace, tmp_path):
     """A fold section of `train --losocv` and `evaluate` of that fold's
     checkpoint on the held-out subject alone score identically."""
     fold = read_report(workspace / "run" / "train_report.json")["folds"][0]
-    dataset = read_dataset(workspace / "data")
-    rec = dataset.by_subject(fold["test_subject"])
+    rec, = read_dataset(workspace / "data",
+                        subjects=[fold["test_subject"]]).recordings
     # the profiles the workspace fixture's `generate` wrote
     _, profiles = make_cohort(3, plan=[(1, 2), (4, 1)], seed=11)
     prof, = [p for p in profiles if p.subject_id == rec.subject_id]
@@ -410,7 +420,9 @@ def test_velocity_reads_only_its_subject(workspace, tmp_path, capsys):
     assert main(argv + ["--subject", "s00"]) == 0
     report = tmp_path / "unknown.json"
     assert main(argv + ["--subject", "s09", "--report", str(report)]) == 3
-    assert "s09" in capsys.readouterr().err
+    # unquoted, as every other data error reads
+    assert capsys.readouterr().err \
+        == "error: no subjects ['s09'] in dataset\n"
     assert not report.exists()
 
 

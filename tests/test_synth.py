@@ -12,11 +12,9 @@ from repseg.synth import (
     CLASS_NAMES,
     DEFAULT_PLAN,
     N_CLASSES,
-    ActivityTemplate,
+    TEMPLATES,
     Recording,
     SubjectProfile,
-    WaveComponent,
-    default_templates,
     generate_recording,
     make_cohort,
     make_profile,
@@ -35,23 +33,13 @@ def flat_profile(subject_id="s00", **over):
     return SubjectProfile(subject_id=subject_id, **base)
 
 
-def test_default_templates_cover_all_classes():
-    templates = default_templates()
-    assert [t.class_id for t in templates] == list(range(6))
-    assert [t.name for t in templates] == [CLASS_NAMES[c] for c in range(6)]
-    assert templates[0].components == ()  # background is unlabeled noise
-    for t in templates[1:]:
-        assert t.components
-        assert t.duration_range[1] <= 8.0
-
-
-def test_template_validation():
-    with pytest.raises(ValueError):
-        ActivityTemplate(1, "x", (0.0, 1.0), ())
-    with pytest.raises(ValueError):
-        ActivityTemplate(1, "x", (1.0, 9.0), ())
-    with pytest.raises(ValueError):
-        WaveComponent(0, "triangle", 1.0).evaluate(np.linspace(0, 1, 5))
+def test_templates_cover_every_repetition_class_and_fit_a_window():
+    assert set(TEMPLATES) == set(CLASS_NAMES) - {0}
+    for (lo, hi), waves in TEMPLATES.values():
+        assert 0.0 < lo <= hi <= 8.0  # a repetition fits one 8 s window
+        assert waves
+        for channel, _amplitude, cycles in waves:
+            assert channel in range(6) and cycles in (0.5, 1.0)
 
 
 def test_profile_validation():
@@ -109,12 +97,11 @@ def test_plan_counts_and_validation():
 
 
 def test_durations_respect_template_and_tempo():
-    templates = {t.class_id: t for t in default_templates()}
     for tempo in (0.7, 1.3):
         profile = flat_profile(tempo_scale={c: tempo for c in range(1, 6)})
         rec = generate_recording(profile, DEFAULT_PLAN, seed=4)
         for s in rec.segments:
-            lo, hi = templates[s.class_id].duration_range
+            lo, hi = TEMPLATES[s.class_id][0]
             dur = s.length / rec.sample_rate
             assert lo * tempo - 0.02 <= dur <= hi * tempo + 0.02
 
